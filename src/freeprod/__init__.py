@@ -10,7 +10,6 @@ from .engine import (
     VerdictSet,
     classify_atom_tuples,
     decompose,
-    decompose_infinite,
     ideal_lattice,
     intersect_ideals,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "certify_law",
     "classify_atom_tuples",
     "decompose",
-    "decompose_infinite",
     "free_cumulants_projection",
     "ideal_lattice",
     "intersect_ideals",

@@ -20,10 +20,12 @@ from .conjectures import (
     matrix_block_from_json,
 )
 from .engine import decompose, ideals_to_json, report_to_json
-from .errors import FreeprodError
+from .errors import FreeprodError, RefusedTwoProjectionCase
 from .model import (
     factor_from_json,
     format_rational,
+    json_field,
+    load_json,
     load_problem,
     normalize_problem,
 )
@@ -202,30 +204,31 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from .rmt import eigenvalue_csv_rows, trial_spectra, verify_two_projection_law
+    from .rmt import eigenvalue_csv_rows, verify_two_projection_law
 
     report = verify_two_projection_law(
         args.alpha, args.beta, args.dim, args.seed, args.trials
     )
     if args.eig_csv:
-        spectra = trial_spectra(args.alpha, args.beta, args.dim, args.seed, args.trials)
         with open(args.eig_csv, "w", encoding="utf-8") as fh:
-            for line in eigenvalue_csv_rows(spectra):
+            for line in eigenvalue_csv_rows(report.spectra):
                 fh.write(line + "\n")
     _print_json(report.to_json())
     return 0 if report.passed else 1
 
 
 def cmd_conjecture(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(args.input)
+    what = f"{args.kind} conjecture input"
     if args.kind == "abelian":
         verdict = conjecture_abelian(
-            factor_from_json(obj["X"]), factor_from_json(obj["Y"])
+            factor_from_json(json_field(obj, "X", what)),
+            factor_from_json(json_field(obj, "Y", what)),
         )
     else:
         verdict = conjecture_finite_dim(
-            matrix_block_from_json(obj["A"]), matrix_block_from_json(obj["B"])
+            matrix_block_from_json(json_field(obj, "A", what)),
+            matrix_block_from_json(json_field(obj, "B", what)),
         )
     _print_json(verdict.to_json())
     return 0
@@ -248,7 +251,7 @@ def run(argv=None) -> int:
         return COMMANDS[args.subcommand](args)
     except FreeprodError as exc:
         hint = ""
-        if type(exc).__name__ == "RefusedTwoProjectionCase":
+        if isinstance(exc, RefusedTwoProjectionCase):
             hint = "  (use the `two-proj` subcommand for this case)"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 1

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .model import FactorSpec, format_rational, parse_rational, validate_factor
+from .model import (
+    FactorSpec,
+    format_rational,
+    json_field,
+    parse_rational,
+    validate_factor,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,12 +59,15 @@ class MatrixBlockSpec:
         return self
 
 
+def _block_from_json(obj: dict) -> tuple[int, tuple[Fraction, ...]]:
+    size = json_field(obj, "size", "block", kind=int)
+    weights = json_field(obj, "weights", "block", kind=list)
+    return size, tuple(parse_rational(w) for w in weights)
+
+
 def matrix_block_from_json(obj: dict) -> MatrixBlockSpec:
-    blocks = tuple(
-        (int(b["size"]), tuple(parse_rational(w) for w in b["weights"]))
-        for b in obj["blocks"]
-    )
-    return MatrixBlockSpec(blocks).validate()
+    blocks = json_field(obj, "blocks", "matrix algebra", kind=list)
+    return MatrixBlockSpec(tuple(_block_from_json(b) for b in blocks)).validate()
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Enumerates atom tuples whose deficit sum Sum(1 - mass) is at most 1,
 splits them into direct summands (deficit < 1, every chosen atom isolated)
 and characters (deficit = 1, or deficit < 1 with a non-isolated choice),
-and derives the verdict set and the full ideal lattice.  Everything here is
-exact rational arithmetic.
+and derives the verdict set and the full ideal lattice.  An infinite product
+is a prefix problem whose tuples start from the certified tail deficit; the
+same walker and report builder serve both.  Everything here is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +25,6 @@ from .model import (
     TWO_PROJECTION_CASE,
     FactorSpec,
     NormalizedProblem,
-    TailSpec,
     format_rational,
 )
 
@@ -39,7 +40,8 @@ class AtomTuple:
 
     For infinite problems the choices cover the explicit prefix only and
     ``tail_maximal`` records that the maximal atom is chosen in every tail
-    factor (the only way an infinite tuple can keep its deficit finite).
+    factor (the only way an infinite tuple can keep its deficit finite);
+    ``deficit_sum`` then includes the certified tail deficit.
     """
 
     choices: tuple[tuple[str, str], ...]  # (factor name, atom label)
@@ -90,7 +92,6 @@ class StructureReport:
     characters: tuple[AtomTuple, ...]
     r0_trace: Fraction
     verdicts: VerdictSet
-    diffuse_witnesses: tuple[tuple[tuple[str, str], bool], ...]
     infinite: bool = False
     gamma0_as_printed: Optional[Fraction] = None
 
@@ -113,9 +114,6 @@ class IdealDescriptor:
     killed_summands: frozenset[int]
     character_part: Optional[frozenset[int]]
 
-    def is_zero(self) -> bool:
-        return not self.killed_summands and self.character_part is None
-
 
 def intersect_ideals(d1: IdealDescriptor, d2: IdealDescriptor) -> IdealDescriptor:
     """Lattice meet: intersect summand sets; kernel sets unite; zero absorbs."""
@@ -135,35 +133,69 @@ def _atom_candidates(factor: FactorSpec, budget: Fraction):
 def classify_atom_tuples(
     problem: NormalizedProblem,
 ) -> tuple[list[AtomTuple], list[AtomTuple]]:
-    """Enumerate summand and character tuples for a finite problem.
+    """Enumerate summand and character tuples, finite or prefix + tail.
 
     Branch-and-bound on partial deficit sums: each factor's candidates are
     pre-filtered against the budget left by the minimal deficits of the
     remaining factors, so branches that cannot stay within deficit 1 are
     never opened.
+
+    For an infinite product the walk covers the explicit prefix and starts
+    from the certified tail deficit: a tuple with finite deficit takes the
+    maximal atom in all but finitely many factors, and only tuples taking it
+    in *every* tail factor are decidable from the tail data.  A tuple
+    deviating in a tail factor pays that factor's deficit >= 1 - d (a
+    non-maximal atom has mass <= d); if the known lower bounds cannot push
+    it above deficit 1, the data does not decide membership and
+    TailUndecidable is raised before any walk.  A divergent tail admits no
+    tuple.  Infinite products have no one-dimensional direct summands, so
+    every tuple found there is a character.
     """
     factors = problem.factors
     n = len(factors)
-    min_deficit = [
-        min((a.deficit() for a in f.atoms), default=ONE) if f.atoms else None
-        for f in factors
-    ]
-    # A factor with no atoms admits no choice at all: no tuples exist.
-    if any(m is None for m in min_deficit):
-        return [], []
+    min_deficit = [min((a.deficit() for a in f.atoms), default=ONE) for f in factors]
     suffix_min = [ZERO] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_min[i] = suffix_min[i + 1] + min_deficit[i]
+
+    tail = problem.tail
+    base = ZERO
+    if tail is not None:
+        base = tail.total_deficit
+        if base is None:  # certified divergent
+            return [], []
+        prefix_min = suffix_min[0]
+        for d in tail.explicit_deficits:
+            if prefix_min + (base - d) + (ONE - d) <= 1:
+                raise TailUndecidable(
+                    "a non-maximal choice in an explicit tail factor cannot "
+                    "be excluded by the certified deficits"
+                )
+        rem = tail.remainder_sum_lower_bound
+        if rem > 0:
+            d = min(rem, ONE)  # a single unlisted factor could carry it all
+            explicit = sum(tail.explicit_deficits, ZERO)
+            if prefix_min + explicit + (rem - d) + (ONE - d) <= 1:
+                raise TailUndecidable(
+                    "a non-maximal choice in an unlisted tail factor cannot "
+                    "be excluded by the certified remainder bound"
+                )
+    # A factor with no atoms admits no choice at all: no tuples exist.
+    if any(not f.atoms for f in factors) or base + suffix_min[0] > 1:
+        return [], []
 
     summands: list[AtomTuple] = []
     characters: list[AtomTuple] = []
 
     def walk(i: int, partial: Fraction, choices, isolated: bool):
         if i == n:
-            t = AtomTuple(tuple(choices), partial, all_isolated=isolated)
-            if partial < 1 and isolated:
+            t = AtomTuple(
+                tuple(choices), partial, all_isolated=isolated,
+                tail_maximal=tail is not None,
+            )
+            if partial < 1 and isolated and tail is None:
                 summands.append(t)
-            else:  # deficit == 1, or < 1 with a non-isolated choice
+            else:  # deficit == 1, a non-isolated choice, or a tail tuple
                 characters.append(t)
             return
         budget = ONE - partial - suffix_min[i + 1]
@@ -175,7 +207,7 @@ def classify_atom_tuples(
                 isolated and atom.isolated,
             )
 
-    walk(0, ZERO, [], True)
+    walk(0, base, [], True)
     key = lambda t: (t.deficit_sum, t.choices)
     summands.sort(key=key)
     characters.sort(key=key)
@@ -202,135 +234,38 @@ def _verdicts(
     )
 
 
-def _diffuse_witnesses(problem: NormalizedProblem):
-    # The corner algebra's state centralizer contains a diffuse abelian
-    # subalgebra through every compressed atom; emitted as metadata.
-    return tuple(
-        ((f.name, a.label), True) for f in problem.factors for a in f.atoms
-    )
-
-
 def decompose(problem: NormalizedProblem) -> StructureReport:
-    """Full structure report for a finite problem (N >= 2 factors, no tail)."""
-    if problem.tail is not None:
-        return decompose_infinite(problem)
-    if problem.special_case == DEGENERATE or problem.n_factors < 2:
-        raise DegenerateProblem(
-            "fewer than two effective factors; the free product is trivial"
-        )
-    if problem.special_case == TWO_PROJECTION_CASE:
-        raise RefusedTwoProjectionCase(
-            "both factors are two-point algebras; use two_projection_structure"
-        )
+    """Full structure report for a finite problem or a prefix + tail.
+
+    A finite problem needs at least two effective factors and must not be
+    the two-projection case.  For an infinite product (``problem.tail`` set)
+    every tuple is a character, ``r0_trace`` subtracts the character
+    weights, and ``gamma0_as_printed`` is one minus their deficits.
+    """
+    infinite = problem.tail is not None
+    if not infinite:
+        if problem.special_case == DEGENERATE or problem.n_factors < 2:
+            raise DegenerateProblem(
+                "fewer than two effective factors; the free product is trivial"
+            )
+        if problem.special_case == TWO_PROJECTION_CASE:
+            raise RefusedTwoProjectionCase(
+                "both factors are two-point algebras; use two_projection_structure"
+            )
 
     summand_tuples, character_tuples = classify_atom_tuples(problem)
     summands = tuple((t, t.gamma) for t in summand_tuples)
-    r0_trace = ONE - sum((g for _, g in summands), ZERO)
+    weighted = character_tuples if infinite else summand_tuples
     return StructureReport(
         summands=summands,
         characters=tuple(character_tuples),
-        r0_trace=r0_trace,
+        r0_trace=ONE - sum((t.gamma for t in weighted), ZERO),
         verdicts=_verdicts(problem, summands, character_tuples),
-        diffuse_witnesses=_diffuse_witnesses(problem),
-    )
-
-
-def decompose_infinite(problem: NormalizedProblem) -> StructureReport:
-    """Structure report for an infinite product encoded as prefix + tail.
-
-    Any tuple with finite deficit must take the maximal atom in all but
-    finitely many factors; the tail data carries exactly the maximal-atom
-    deficits, so tuples taking the maximal atom in *every* tail factor are
-    decidable.  A tuple deviating in some tail factor has that factor's
-    deficit >= 1 - d (a non-maximal atom has mass <= d); if such a tuple
-    cannot be pushed above deficit 1 from the known lower bounds alone, the
-    data does not decide membership and TailUndecidable is raised.
-
-    Infinite products never produce one-dimensional direct summands, so
-    every decided tuple is a character.
-    """
-    tail = problem.tail
-    if tail is None:
-        raise DegenerateProblem("decompose_infinite requires a tail")
-
-    factors = problem.factors
-    prefix_min = sum(
-        (min((a.deficit() for a in f.atoms), default=ONE) for f in factors),
-        ZERO,
-    )
-
-    tail_total = tail.total_deficit  # None = certified divergent
-    characters: list[AtomTuple] = []
-    if tail_total is not None:
-        # Rule out deviations from the maximal atom in tail factors.
-        for d in tail.explicit_deficits:
-            if prefix_min + (tail_total - d) + (ONE - d) <= 1:
-                raise TailUndecidable(
-                    "a non-maximal choice in an explicit tail factor cannot "
-                    "be excluded by the certified deficits"
-                )
-        rem = tail.remainder_sum_lower_bound
-        if rem is not None and rem > 0:
-            d = min(rem, ONE)  # a single unlisted factor could carry it all
-            explicit = sum(tail.explicit_deficits, ZERO)
-            if prefix_min + explicit + (rem - d) + (ONE - d) <= 1:
-                raise TailUndecidable(
-                    "a non-maximal choice in an unlisted tail factor cannot "
-                    "be excluded by the certified remainder bound"
-                )
-
-        if factors:
-            prefix_tuples: list[AtomTuple] = []
-
-            def walk(i, partial, choices):
-                if partial + tail_total > 1:
-                    return
-                if i == len(factors):
-                    prefix_tuples.append(
-                        AtomTuple(
-                            tuple(choices),
-                            partial + tail_total,
-                            tail_maximal=True,
-                        )
-                    )
-                    return
-                for atom in factors[i].atoms:
-                    walk(
-                        i + 1,
-                        partial + atom.deficit(),
-                        choices + [(factors[i].name, atom.label)],
-                    )
-
-            walk(0, ZERO, [])
-            characters = sorted(prefix_tuples, key=lambda t: (t.deficit_sum, t.choices))
-        else:
-            if tail_total <= 1:
-                characters = [AtomTuple((), tail_total, tail_maximal=True)]
-
-    r0_trace = ONE - sum((ONE - t.deficit_sum for t in characters), ZERO)
-    gamma0_printed = ONE - sum((t.deficit_sum for t in characters), ZERO)
-
-    trace_exists = all(
-        f.diffuse_mass == 0 or f.diffuse_state_is_trace for f in factors
-    )
-    verdicts = VerdictSet(
-        afr_simple=(not characters),
-        afr0_simple=(not characters),
-        afr00_simple=True,
-        afr00_nonunital=bool(characters),
-        trace_exists=trace_exists,
-        trace_unique=trace_exists,
-        stable_rank_one="true" if trace_exists else NOT_CLAIMED,
-        special_case=problem.special_case,
-    )
-    return StructureReport(
-        summands=(),
-        characters=tuple(characters),
-        r0_trace=r0_trace,
-        verdicts=verdicts,
-        diffuse_witnesses=_diffuse_witnesses(problem),
-        infinite=True,
-        gamma0_as_printed=gamma0_printed,
+        infinite=infinite,
+        gamma0_as_printed=(
+            ONE - sum((t.deficit_sum for t in character_tuples), ZERO)
+            if infinite else None
+        ),
     )
 
 
@@ -349,13 +284,13 @@ def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]
     s = len(report.summands)
     c = len(report.characters)
     gammas = [g for _, g in report.summands]
+    parts: list[Optional[frozenset[int]]] = [None] + [
+        frozenset(j for j in range(c) if f_mask >> j & 1) for f_mask in range(2**c)
+    ]
     out: list[tuple[IdealDescriptor, dict]] = []
     for killed_mask in range(2**s):
         killed = frozenset(i for i in range(s) if killed_mask >> i & 1)
         killed_trace = sum((gammas[i] for i in killed), ZERO)
-        parts: list[Optional[frozenset[int]]] = [None]
-        for f_mask in range(2**c):
-            parts.append(frozenset(j for j in range(c) if f_mask >> j & 1))
         for part in parts:
             desc = IdealDescriptor(killed, part)
             if part is None:
@@ -390,9 +325,6 @@ def report_to_json(report: StructureReport) -> dict:
         "r0_trace": format_rational(report.r0_trace),
         "verdicts": report.verdicts.to_json(),
         "ideal_count": report.ideal_count,
-        "diffuse_witnesses": {
-            f"{f}:{a}": w for (f, a), w in report.diffuse_witnesses
-        },
     }
     if report.infinite:
         out["infinite"] = True

@@ -37,7 +37,7 @@ def parse_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         s = value.strip()
@@ -98,10 +98,6 @@ class FactorSpec:
             and self.atoms[0].mass == ONE
             and self.diffuse_mass == ZERO
         )
-
-    @property
-    def max_atom_mass(self) -> Fraction:
-        return max((a.mass for a in self.atoms), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -237,37 +233,66 @@ def normalize_problem(spec: ProblemSpec) -> NormalizedProblem:
 # JSON problem schema
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {list: "array", bool: "boolean", int: "integer"}
+
+
+def json_field(obj, key: str, what: str, default=_REQUIRED, kind=None):
+    """``obj[key]`` of a JSON object, or ``default`` when the key is absent.
+
+    A non-object, a missing key without a default, or a present value whose
+    type is not exactly ``kind`` (``list``, ``bool`` or ``int``; so a JSON
+    boolean is no integer) is a ValidationError naming ``what`` the object
+    was meant to be.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValidationError(f'{what} is missing "{key}"')
+        return default
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        raise ValidationError(f'{what} "{key}" must be a JSON {_JSON_TYPE_NAMES[kind]}')
+    return value
+
+
 def atom_from_json(obj: dict) -> AtomSpec:
     return AtomSpec(
-        label=str(obj["label"]),
-        mass=parse_rational(obj["mass"]),
-        isolated=bool(obj.get("isolated", True)),
+        label=str(json_field(obj, "label", "atom")),
+        mass=parse_rational(json_field(obj, "mass", "atom")),
+        isolated=json_field(obj, "isolated", "atom", True, bool),
     )
 
 
 def factor_from_json(obj: dict) -> FactorSpec:
     return FactorSpec(
-        name=str(obj["name"]),
-        atoms=tuple(atom_from_json(a) for a in obj.get("atoms", [])),
-        diffuse_mass=parse_rational(obj.get("diffuse_mass", 0)),
-        diffuse_state_is_trace=bool(obj.get("diffuse_state_is_trace", True)),
+        name=str(json_field(obj, "name", "factor")),
+        atoms=tuple(
+            atom_from_json(a) for a in json_field(obj, "atoms", "factor", [], list)
+        ),
+        diffuse_mass=parse_rational(json_field(obj, "diffuse_mass", "factor", 0)),
+        diffuse_state_is_trace=json_field(
+            obj, "diffuse_state_is_trace", "factor", True, bool
+        ),
     )
 
 
 def tail_from_json(obj: dict) -> TailSpec:
-    bound = obj.get("remainder_sum_lower_bound", "inf")
+    bound = json_field(obj, "remainder_sum_lower_bound", "tail", "inf")
     if isinstance(bound, str) and bound.strip().lower() in ("inf", "+inf", "infinity"):
         parsed = None
     else:
         parsed = parse_rational(bound)
+    deficits = json_field(obj, "explicit_deficits", "tail", [], list)
     return TailSpec(
-        explicit_deficits=tuple(parse_rational(d) for d in obj.get("explicit_deficits", [])),
+        explicit_deficits=tuple(parse_rational(d) for d in deficits),
         remainder_sum_lower_bound=parsed,
     )
 
 
 def problem_from_json(obj: dict) -> ProblemSpec:
-    if "factors" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("factors"), list):
         raise ValidationError('problem JSON must contain a "factors" array')
     tail = tail_from_json(obj["tail"]) if obj.get("tail") is not None else None
     return ProblemSpec(
@@ -276,13 +301,17 @@ def problem_from_json(obj: dict) -> ProblemSpec:
     )
 
 
-def load_problem(path: str) -> ProblemSpec:
+def load_json(path: str):
+    """Parse a JSON input file; malformed JSON is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_json(obj)
+
+
+def load_problem(path: str) -> ProblemSpec:
+    return problem_from_json(load_json(path))
 
 
 def factor_to_json(factor: FactorSpec) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -27,8 +27,6 @@ from .twoproj import TwoProjectionLaw, law_cdf, law_moment, two_projection_law
 
 #: Eigenvalues above this are counted as the atom at 1.
 ATOM_ONE_CUTOFF = 1.0 - 1e-8
-#: Eigenvalues must stay within [-EIG_SLACK, 1 + EIG_SLACK].
-EIG_SLACK = 1e-10
 
 KS_THRESHOLD = 0.05
 MOMENT_ORDERS = (1, 2, 3, 4)
@@ -57,6 +55,9 @@ class MCReport:
     moment_errors: tuple[float, ...]
     moment_tolerance: float
     passed: bool
+    #: The per-trial sorted spectra the verdict was computed from; kept for
+    #: export, not part of the report's JSON or equality.
+    spectra: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -217,6 +218,7 @@ def verify_two_projection_law(
         moment_errors=moment_errors,
         moment_tolerance=tol,
         passed=passed,
+        spectra=tuple(spectra),
     )
 
 

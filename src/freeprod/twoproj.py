@@ -61,15 +61,6 @@ class TwoProjectionLaw:
         """Exact mass of the absolutely continuous part."""
         return ONE - self.atom_at_zero - self.atom_at_one
 
-    def density(self, t: float) -> float:
-        return law_density(self, t)
-
-    def moment(self, n: int) -> float:
-        return law_moment(self, n)
-
-    def cdf(self, t: float) -> float:
-        return law_cdf(self, t)
-
 
 def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     """Spectral law of pqp for free projections of traces alpha and beta."""

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,43 @@ def test_analyze_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _worked_with(factor):
+    return {"factors": WORKED["factors"] + [factor]}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["conjecture", "--kind", "abelian"], json.dumps({"X": WORKED["factors"][1]})),
+    (["conjecture", "--kind", "abelian"], '{"X": '),
+    (["analyze"], json.dumps(_worked_with({"name": "C", "atoms": [
+        {"label": "r1", "mass": "1/2"}, {"label": "r2"}]}))),
+    (["analyze"], json.dumps(_worked_with({"name": "C", "atoms": [
+        {"label": "r1", "mass": "1/2"},
+        {"label": "r2", "mass": "1/2", "isolated": "false"}]}))),
+    (["analyze"], json.dumps(_worked_with({"name": "C", "atoms": [
+        {"label": "r1", "mass": True}]}))),
+    (["analyze"], json.dumps(_worked_with({"name": "C", "atoms": {
+        "label": "r1", "mass": "1"}}))),
+    (["conjecture", "--kind", "matrix"], json.dumps({"A": {}, "B": {}})),
+    (["conjecture", "--kind", "matrix"], json.dumps({
+        "A": {"blocks": [{"size": 1.5, "weights": ["1/2"]},
+                         {"size": 1, "weights": ["1/2"]}]},
+        "B": {"blocks": [{"size": 1, "weights": ["1/2"]},
+                         {"size": 1, "weights": ["1/2"]}]},
+    })),
+], ids=["missing-Y", "malformed-json", "atom-without-mass", "isolated-not-boolean",
+        "boolean-mass", "atoms-not-array", "matrix-without-blocks",
+        "block-size-not-integer"])
+def test_bad_json_input_is_one_error_line(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["two-proj", "--alpha", "7/10"])  # --beta missing
@@ -162,6 +200,29 @@ def test_mc_eig_csv(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "trial,index,eigenvalue"
     assert len(lines) == 1 + 2 * 32
+
+
+def test_mc_eig_csv_samples_each_trial_once(tmp_path, capsys, monkeypatch):
+    from freeprod import rmt
+
+    calls = []
+    spectrum = rmt._spectrum
+
+    def counting_spectrum(*args):
+        calls.append(args[:3])
+        return spectrum(*args)
+
+    monkeypatch.setattr(rmt, "_spectrum", counting_spectrum)
+    csv = tmp_path / "eigs.csv"
+    assert run([
+        "mc", "--alpha", "7/10", "--beta", "3/5", "--dim", "48",
+        "--trials", "3", "--seed", "5", "--eig-csv", str(csv),
+    ]) == 0
+    assert len(calls) == 3
+    monkeypatch.undo()
+    spectra = rmt.trial_spectra(Fraction(7, 10), Fraction(3, 5), 48, 5, 3)
+    expected = "".join(line + "\n" for line in rmt.eigenvalue_csv_rows(spectra))
+    assert csv.read_text() == expected
 
 
 def test_conjecture_abelian(problem_file, capsys):

@@ -5,6 +5,7 @@ equality; settings push each property past 100 examples, giving well over
 1000 randomized instances across the module.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,12 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeprod.conjectures import conjecture_abelian
-from freeprod.engine import decompose, ideal_lattice, intersect_ideals
+from freeprod.engine import (
+    AtomTuple,
+    classify_atom_tuples,
+    decompose,
+    ideal_lattice,
+    intersect_ideals,
+)
 from freeprod.errors import (
     DegenerateProblem,
     RefusedTwoProjectionCase,
+    TailUndecidable,
 )
-from freeprod.model import ProblemSpec, normalize_problem
+from freeprod.model import ProblemSpec, TailSpec, normalize_problem
 from freeprod.nc import alternating_moment, catalan, noncrossing_partitions, wedge_trace
 
 from conftest import make_factor, make_problem
@@ -83,6 +91,64 @@ def test_elision_invariance(xs, ys):
     assert _decompose_or_none(make_problem(a, b, c)) == _decompose_or_none(
         make_problem(a, b)
     )
+
+
+def _brute_force_tuples(problem):
+    """Every atom tuple by itertools.product, split as the engine defines."""
+    tail = problem.tail
+    base = F(0) if tail is None else tail.total_deficit
+    summands, characters = [], []
+    if base is None:
+        return summands, characters
+    for atoms in itertools.product(*(f.atoms for f in problem.factors)):
+        deficit = base + sum((1 - a.mass for a in atoms), F(0))
+        if deficit > 1:
+            continue
+        isolated = all(a.isolated for a in atoms)
+        t = AtomTuple(
+            tuple((f.name, a.label) for f, a in zip(problem.factors, atoms)),
+            deficit, all_isolated=isolated, tail_maximal=tail is not None,
+        )
+        if deficit < 1 and isolated and tail is None:
+            summands.append(t)
+        else:
+            characters.append(t)
+    key = lambda t: (t.deficit_sum, t.choices)
+    return sorted(summands, key=key), sorted(characters, key=key)
+
+
+@st.composite
+def factors_with_isolation(draw, name):
+    masses = draw(mass_vectors(min_atoms=1, max_atoms=4))
+    isolated = draw(st.lists(st.booleans(), min_size=len(masses), max_size=len(masses)))
+    return make_factor(name, masses, isolated=isolated)
+
+
+@st.composite
+def tails(draw):
+    deficits = draw(st.lists(st.integers(0, 16), max_size=3))
+    remainder = draw(st.one_of(st.none(), st.integers(0, 16)))
+    return TailSpec(
+        tuple(F(d, 64) for d in deficits),
+        None if remainder is None else F(remainder, 64),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True).flatmap(
+        lambda names: st.tuples(*(factors_with_isolation(n) for n in names))
+    ),
+    st.one_of(st.none(), tails()),
+)
+def test_classify_matches_brute_force(factors, tail):
+    problem = make_problem(*factors, tail=tail)
+    try:
+        got = classify_atom_tuples(problem)
+    except TailUndecidable:
+        assert tail is not None
+        return
+    assert got == _brute_force_tuples(problem)
 
 
 @settings(max_examples=100, deadline=None)
