@@ -22,13 +22,7 @@ from .model import (
     normalize_problem,
     validate_factor,
 )
-from .nc import (
-    alternating_moment,
-    catalan,
-    free_cumulants_projection,
-    noncrossing_partitions,
-    wedge_trace,
-)
+from .nc import alternating_moment, wedge_trace
 from .twoproj import (
     TwoProjectionLaw,
     TwoProjStructure,
@@ -52,16 +46,13 @@ __all__ = [
     "TwoProjectionLaw",
     "VerdictSet",
     "alternating_moment",
-    "catalan",
     "certify_law",
     "classify_atom_tuples",
     "decompose",
-    "free_cumulants_projection",
     "ideal_lattice",
     "intersect_ideals",
     "law_density",
     "law_moment",
-    "noncrossing_partitions",
     "normalize_problem",
     "two_projection_law",
     "two_projection_structure",

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .errors import (
     DegenerateProblem,
+    LimitExceeded,
     RefusedTwoProjectionCase,
     TailUndecidable,
 )
@@ -32,6 +33,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 NOT_CLAIMED = "not_claimed"
+
+#: Largest ideal lattice :func:`ideal_lattice` builds; the count itself is
+#: always available in closed form as ``StructureReport.ideal_count``.
+MAX_IDEALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -187,27 +192,31 @@ def classify_atom_tuples(
     summands: list[AtomTuple] = []
     characters: list[AtomTuple] = []
 
-    def walk(i: int, partial: Fraction, choices, isolated: bool):
+    # Depth-first walk with an explicit stack, so the depth is not bounded
+    # by the interpreter's recursion limit: (factor index, partial deficit,
+    # choices so far, all chosen atoms isolated).
+    stack = [(0, base, (), True)]
+    while stack:
+        i, partial, choices, isolated = stack.pop()
         if i == n:
             t = AtomTuple(
-                tuple(choices), partial, all_isolated=isolated,
+                choices, partial, all_isolated=isolated,
                 tail_maximal=tail is not None,
             )
             if partial < 1 and isolated and tail is None:
                 summands.append(t)
             else:  # deficit == 1, a non-isolated choice, or a tail tuple
                 characters.append(t)
-            return
+            continue
         budget = ONE - partial - suffix_min[i + 1]
         for atom in _atom_candidates(factors[i], budget):
-            walk(
+            stack.append((
                 i + 1,
                 partial + atom.deficit(),
-                choices + [(factors[i].name, atom.label)],
+                choices + ((factors[i].name, atom.label),),
                 isolated and atom.isolated,
-            )
+            ))
 
-    walk(0, base, [], True)
     key = lambda t: (t.deficit_sum, t.choices)
     summands.sort(key=key)
     characters.sort(key=key)
@@ -279,8 +288,14 @@ def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]
     subsets of the one-dimensional summands gives
     2^#summands * (2^#characters + 1) ideals.  Kernel intersections over a
     nonempty character subset are nonunital; the zero character part and the
-    whole corner are unital.
+    whole corner are unital.  Above MAX_IDEALS elements it raises
+    LimitExceeded before building anything.
     """
+    if report.ideal_count > MAX_IDEALS:
+        raise LimitExceeded(
+            f"ideal lattice has {report.ideal_count} elements, "
+            f"exceeds cap {MAX_IDEALS}"
+        )
     s = len(report.summands)
     c = len(report.characters)
     gammas = [g for _, g in report.summands]

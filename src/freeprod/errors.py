@@ -26,7 +26,7 @@ class DomainError(FreeprodError):
 
 
 class LimitExceeded(FreeprodError):
-    """Requested order exceeds the enumeration cap."""
+    """Requested order or output size exceeds a fixed cap."""
 
 
 class DimensionError(FreeprodError):

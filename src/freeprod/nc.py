@@ -1,138 +1,43 @@
-"""Exact free-probability oracle: cumulants and alternating moments.
+"""Exact free-probability oracle: alternating moments of two free projections.
 
-Mixed moments of two free projections are computed by summing over
-non-crossing partitions with parity-monochromatic blocks (mixed free
-cumulants vanish), entirely in rational arithmetic.  This module is the
-independent ground truth against which the analytic two-projection law is
+The moments m_n = tr((pq)^n) come from the S-transform, entirely in
+rational arithmetic.  A projection of trace alpha has
+S(z) = (1 + z) / (alpha + z), so the moment series psi = sum_{n>=1} m_n z^n
+of pq is the compositional inverse of chi(z) = z(1+z) / ((alpha+z)(beta+z)):
+
+    psi (1 + psi) = z (alpha + psi) (beta + psi).
+
+Comparing coefficients of z^n gives an O(n^2) recurrence (see
+:func:`alternating_moment`).  The non-crossing-partition enumerator it
+replaces lives in the test suite as an independent cross-check.  This module
+is the ground truth against which the analytic two-projection law is
 certified; it must not import from :mod:`freeprod.twoproj`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
 
 from .errors import DomainError, LimitExceeded
 
-#: Longest word (pq)^n handled by enumeration: 2n <= 16.
+#: Longest word (pq)^n the oracle answers: 2n <= 16.
 MAX_WORD_LENGTH = 16
-MAX_CUMULANT_ORDER = 16
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def catalan(n: int) -> int:
-    """Closed-form Catalan number C_n = binom(2n, n) / (n + 1)."""
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def noncrossing_partitions(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Generate all non-crossing partitions of {1..m}.
-
-    Recursion on the block of the smallest element: its members split the
-    remaining points into independent intervals, which forbids crossings by
-    construction.  Yields exactly C_m partitions.
-    """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    yield from _nc_of(tuple(range(1, m + 1)))
-
-
-def _nc_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not points:
-        yield ()
-        return
-    n = len(points)
-    for k in range(n):
-        for idxs in combinations(range(1, n), k):
-            block = (points[0],) + tuple(points[i] for i in idxs)
-            bounds = (0,) + idxs + (n,)
-            segments = [points[bounds[j] + 1 : bounds[j + 1]] for j in range(len(bounds) - 1)]
-            yield from _combine(block, segments, 0, ())
-
-
-def _combine(block, segments, i, acc) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if i == len(segments):
-        yield (block,) + acc
-        return
-    for sub in _nc_of(segments[i]):
-        yield from _combine(block, segments, i + 1, acc + sub)
-
-
-def free_cumulants_projection(alpha: Fraction, nmax: int) -> list[Fraction]:
-    """Free cumulants kappa_1..kappa_nmax of a projection with trace alpha.
-
-    All moments of a projection equal its trace, so the cumulants come from
-    the moment-cumulant recursion m_n = sum_k kappa_k * (products of lower
-    moments over the k gaps of the first block).
-    """
-    alpha = Fraction(alpha)
-    if not (ZERO < alpha < ONE):
-        raise DomainError("alpha must lie in (0, 1)")
-    if nmax < 1:
-        raise DomainError("nmax must be >= 1")
-    if nmax > MAX_CUMULANT_ORDER:
-        raise LimitExceeded(f"nmax={nmax} exceeds cap {MAX_CUMULANT_ORDER}")
-
-    moments = [ONE] + [alpha] * nmax  # m_0 = 1, m_n = alpha
-    kappa: list[Fraction] = []
-    for n in range(1, nmax + 1):
-        # gap_sums[k][s]: sum over compositions of s into k nonnegative parts
-        # of products of moments.
-        acc = ZERO
-        conv = [ONE] + [ZERO] * n  # k = 0 convolution power of the moment series
-        for k in range(1, n + 1):
-            new = [ZERO] * (n + 1)
-            for s in range(n + 1):
-                if conv[s] == 0:
-                    continue
-                for j in range(n + 1 - s):
-                    new[s + j] += conv[s] * moments[j]
-            conv = new
-            if k < n:
-                acc += kappa[k - 1] * conv[n - k]
-        # k = n term is kappa_n * m_0^n = kappa_n
-        kappa.append(moments[n] - acc)
-    return kappa
-
-
-def _block_sum(length: int, color: int, kappa: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
-               memo: dict) -> Fraction:
-    """Sum over monochromatic non-crossing partitions of an alternating word.
-
-    The word has ``length`` letters with colors alternating starting at
-    ``color`` (0 = first projection, 1 = second).  Each block must be
-    single-colored and contributes kappa_{|block|} of its color.
-    """
-    if length == 0:
-        return ONE
-    key = (length, color)
-    if key in memo:
-        return memo[key]
-
-    other = 1 - color
-
-    def extend(rem: int, size: int) -> Fraction:
-        # First block has `size` members so far, last one just placed; `rem`
-        # letters follow, starting with the opposite color.  Either close the
-        # block or append its next member (same color: even offsets).
-        total = kappa[color][size - 1] * _block_sum(rem, other, kappa, memo)
-        for j in range(2, rem + 1, 2):
-            total += _block_sum(j - 1, other, kappa, memo) * extend(rem - j, size + 1)
-        return total
-
-    result = extend(length - 1, 1)
-    memo[key] = result
-    return result
-
-
 def alternating_moment(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
     """Exact trace of (pq)^n for free projections of traces alpha, beta.
 
-    Equals the trace of (pqp)^n by traciality.  n = 0 returns 1.
+    Equals the trace of (pqp)^n by traciality.  n = 0 returns 1.  For
+    n >= 2 the coefficient of z^n in psi(1 + psi) = z(alpha+psi)(beta+psi)
+    gives
+
+        m_n = (alpha+beta) m_{n-1} + sum_{k=1}^{n-2} m_k m_{n-1-k}
+              - sum_{k=1}^{n-1} m_k m_{n-k},
+
+    starting from m_1 = alpha*beta.
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -144,11 +49,14 @@ def alternating_moment(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
         return ONE
     if 2 * n > MAX_WORD_LENGTH:
         raise LimitExceeded(f"word length {2 * n} exceeds cap {MAX_WORD_LENGTH}")
-    kappa = (
-        tuple(free_cumulants_projection(alpha, n)),
-        tuple(free_cumulants_projection(beta, n)),
-    )
-    return _block_sum(2 * n, 0, kappa, {})
+    m = [ZERO, alpha * beta]  # m[0] is a placeholder: psi has no constant term
+    s = alpha + beta
+    for j in range(2, n + 1):
+        total = s * m[j - 1]
+        total += sum((m[k] * m[j - 1 - k] for k in range(1, j - 1)), ZERO)
+        total -= sum((m[k] * m[j - k] for k in range(1, j)), ZERO)
+        m.append(total)
+    return m[n]
 
 
 def wedge_trace(alpha: Fraction, beta: Fraction) -> Fraction:

@@ -8,10 +8,10 @@ square-root vanishing at both edges:
     density = sqrt((b - t)(t - a)) / (2*pi*t*(1-t))
 
 These expressions are treated as candidates and certified against the exact
-non-crossing-partition oracle (see :func:`certify_law` and the test suite);
-a useful identity is a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2,
-so a = 0 iff alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact
-rationals, never on floats).
+moment oracle in :mod:`freeprod.nc` (see :func:`certify_law` and the test
+suite); a useful identity is a*b = (alpha-beta)^2 and
+(1-a)(1-b) = (1-alpha-beta)^2, so a = 0 iff alpha = beta and b = 1 iff
+alpha + beta = 1 (checked on exact rationals, never on floats).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .errors import DomainError
 from .nc import alternating_moment, wedge_trace
@@ -92,13 +90,16 @@ def law_density(law: TwoProjectionLaw, t: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _quadrature(a: float, b: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrating f(t) * density(t) over [a, b].
+def _quadrature(a: float, b: float, n_points: int):
+    """Nodes and weights (numpy arrays) for integrating f(t) * density(t).
 
     Substituting t = m + h*sin(theta) turns the square-root edge factor into
     h*cos(theta), leaving an integrand analytic on [-pi/2, pi/2]; a midpoint
-    rule then converges fast.  Weights already include the density.
+    rule then converges fast.  Weights already include the density.  numpy
+    is imported here, so the exact-only paths never load it.
     """
+    import numpy as np
+
     m = 0.5 * (a + b)
     h = 0.5 * (b - a)
     theta = -0.5 * np.pi + (np.arange(n_points) + 0.5) * (np.pi / n_points)
@@ -115,7 +116,7 @@ def law_moment(law: TwoProjectionLaw, n: int) -> float:
     if n < 0:
         raise DomainError("n must be nonnegative")
     t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
-    total = float(law.atom_at_one) + float(np.dot(w, t**n))
+    total = float(law.atom_at_one) + float(w @ t**n)
     if n == 0:
         total += float(law.atom_at_zero)
     return total
@@ -127,7 +128,7 @@ def law_cdf(law: TwoProjectionLaw, x: float) -> float:
     total = 0.0
     if x >= 0.0:
         total += float(law.atom_at_zero)
-    total += float(np.sum(w[t <= x]))
+    total += float(w[t <= x].sum())
     if x >= 1.0:
         total += float(law.atom_at_one)
     return total

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,70 @@ def test_infinite_problem_via_cli(problem_file, capsys):
     assert rep["r0_trace"] == "7/8"
     assert rep["gamma0_as_printed"] == "1/8"
     assert len(rep["characters"]) == 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(code, *args):
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+
+
+def test_exact_commands_do_not_load_numpy(problem_file):
+    problem = problem_file(WORKED)
+    conj = problem_file({"X": WORKED["factors"][0], "Y": WORKED["factors"][1]}, "conj.json")
+    code = """
+import sys
+from freeprod.cli import run
+problem, conj = sys.argv[1:]
+for argv in (["analyze", problem], ["analyze", problem, "--format", "json"],
+             ["ideals", problem], ["conjecture", "--kind", "abelian", conj],
+             ["moments", "--alpha", "7/10", "--beta", "3/5"],
+             ["two-proj", "--alpha", "7/10", "--beta", "3/5"]):
+    assert run(argv) == 0, argv
+assert "numpy" not in sys.modules
+print("numpy not loaded")
+"""
+    proc = _run_python(code, problem, conj)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("numpy not loaded\n")
+
+
+def test_deep_problem_analyzes_without_recursion(problem_file):
+    deep = {"factors": [
+        {"name": f"F{i}", "atoms": [{"label": "a", "mass": "999999/1000000"},
+                                    {"label": "b", "mass": "1/1000000"}]}
+        for i in range(1100)
+    ]}
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, "analyze", problem_file(deep), "--format", "json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert len(rep["summands"]) == 1
+    assert len(rep["summands"][0]["tuple"]) == 1100
+    assert rep["summands"][0]["gamma"] == "9989/10000"
+    assert rep["characters"] == []
+    assert rep["ideal_count"] == 4
+
+
+def test_ideal_lattice_over_cap_is_refused(problem_file, capsys):
+    wide = {"factors": [
+        {"name": "A", "atoms": [{"label": f"a{i}", "mass": "1/30"} for i in range(30)]},
+        {"name": "B", "atoms": [{"label": "b1", "mass": "29/30"},
+                                {"label": "b2", "mass": "1/30"}]},
+    ]}
+    path = problem_file(wide)
+    assert run(["ideals", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "1073741825" in lines[0]
+    # analyze still reports the closed-form count
+    assert run(["analyze", path]) == 0
+    assert "ideal_count=1073741825" in capsys.readouterr().out

@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from freeprod.errors import DomainError, LimitExceeded
-from freeprod.nc import (
-    alternating_moment,
-    catalan,
-    free_cumulants_projection,
-    noncrossing_partitions,
-    wedge_trace,
-)
+from freeprod.nc import alternating_moment, wedge_trace
+
+from nc_reference import catalan, free_cumulants_projection, noncrossing_partitions
 
 F = Fraction
 
