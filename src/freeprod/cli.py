@@ -20,7 +20,7 @@ from .conjectures import (
     matrix_block_from_json,
 )
 from .engine import decompose, ideals_to_json, report_to_json
-from .errors import FreeprodError, RefusedTwoProjectionCase
+from .errors import DomainError, FreeprodError, RefusedTwoProjectionCase
 from .model import (
     factor_from_json,
     format_rational,
@@ -160,6 +160,9 @@ def cmd_two_proj(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    wedge = wedge_trace(args.alpha, args.beta)
+    if args.max_n < 0:
+        raise DomainError("n must be nonnegative")
     rows = []
     law = two_projection_law(args.alpha, args.beta) if args.compare_law else None
     for n in range(args.max_n + 1):
@@ -175,7 +178,7 @@ def cmd_moments(args) -> int:
     obj = {
         "alpha": format_rational(args.alpha),
         "beta": format_rational(args.beta),
-        "wedge_trace": format_rational(wedge_trace(args.alpha, args.beta)),
+        "wedge_trace": format_rational(wedge),
         "moments": rows,
     }
     if args.format == "json":

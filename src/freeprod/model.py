@@ -197,9 +197,14 @@ def normalize_problem(spec: ProblemSpec) -> NormalizedProblem:
     mass (ties by label) and factors by their mass signature, and tags the
     special cases the structure engine refuses: fewer than two effective
     factors, and the pure two-projection case (exactly two factors, each two
-    atoms with no diffuse part).
+    atoms with no diffuse part).  Repeated factor names are refused: reports
+    key each tuple's choices by factor name.
     """
     validated = [validate_factor(f) for f in spec.factors]
+    names = [f.name for f in validated]
+    if len(set(names)) != len(names):
+        dup = sorted({n for n in names if names.count(n) > 1})
+        raise DuplicateLabel(f"duplicate factor names {dup}")
     effective = [_canonical_factor(f) for f in validated if not f.is_one_dimensional]
     elided = tuple(f.name for f in validated if f.is_one_dimensional)
     effective.sort(key=_factor_sort_key)
@@ -302,11 +307,12 @@ def problem_from_json(obj: dict) -> ProblemSpec:
 
 
 def load_json(path: str):
-    """Parse a JSON input file; malformed JSON is a ValidationError."""
+    """Parse a JSON input file; malformed JSON, non-UTF-8 bytes or too deep
+    nesting is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -27,6 +27,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def check_unit_interval(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
+    """Both traces as Fractions; DomainError unless each lies in (0, 1)."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if not (ZERO < alpha < ONE and ZERO < beta < ONE):
+        raise DomainError("alpha and beta must lie in (0, 1)")
+    return alpha, beta
+
+
 def alternating_moment(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
     """Exact trace of (pq)^n for free projections of traces alpha, beta.
 
@@ -39,10 +47,7 @@ def alternating_moment(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
 
     starting from m_1 = alpha*beta.
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not (ZERO < alpha < ONE and ZERO < beta < ONE):
-        raise DomainError("alpha and beta must lie in (0, 1)")
+    alpha, beta = check_unit_interval(alpha, beta)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n == 0:
@@ -64,8 +69,5 @@ def wedge_trace(alpha: Fraction, beta: Fraction) -> Fraction:
 
     This is the limit of the alternating moments as n grows.
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not (ZERO < alpha < ONE and ZERO < beta < ONE):
-        raise DomainError("alpha and beta must lie in (0, 1)")
+    alpha, beta = check_unit_interval(alpha, beta)
     return max(alpha + beta - 1, ZERO)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
-from .nc import alternating_moment, wedge_trace
+from .nc import alternating_moment, check_unit_interval, wedge_trace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,13 +34,6 @@ QUADRATURE_POINTS = 4096
 
 #: Rows written by the density CSV export.
 DENSITY_CSV_ROWS = 1024
-
-
-def _check_unit_interval(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if not (ZERO < alpha < ONE and ZERO < beta < ONE):
-        raise DomainError("alpha and beta must lie in (0, 1)")
-    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class TwoProjectionLaw:
 
 def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     """Spectral law of pqp for free projections of traces alpha and beta."""
-    alpha, beta = _check_unit_interval(alpha, beta)
+    alpha, beta = check_unit_interval(alpha, beta)
     af, bf = float(alpha), float(beta)
     center = af + bf - 2.0 * af * bf
     half = 2.0 * math.sqrt(af * bf * (1.0 - af) * (1.0 - bf))
@@ -122,16 +115,21 @@ def law_moment(law: TwoProjectionLaw, n: int) -> float:
     return total
 
 
-def law_cdf(law: TwoProjectionLaw, x: float) -> float:
-    """Distribution function F(x) of the law (right-continuous)."""
+def law_cdf(law: TwoProjectionLaw, x):
+    """Distribution function F(x) of the law (right-continuous).
+
+    ``x`` is a float or an array of floats; the result has the same shape.
+    """
+    import numpy as np
+
     t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
-    total = 0.0
-    if x >= 0.0:
-        total += float(law.atom_at_zero)
-    total += float(w[t <= x].sum())
-    if x >= 1.0:
-        total += float(law.atom_at_one)
-    return total
+    x = np.asarray(x, dtype=float)
+    # The nodes are ascending, so the weight of {t <= x} is a prefix sum.
+    cumulative = np.concatenate(([0.0], np.cumsum(w)))
+    below = cumulative[np.searchsorted(t, x, side="right")]
+    total = np.where(x >= 0.0, float(law.atom_at_zero), 0.0) + below
+    total = total + np.where(x >= 1.0, float(law.atom_at_one), 0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def certify_law(alpha: Fraction, beta: Fraction, nmax: int = 8, tol: float = 1e-8) -> float:
@@ -205,7 +203,7 @@ def two_projection_structure(alpha: Fraction, beta: Fraction) -> TwoProjStructur
     wedge weights are simply the positive parts of the four linear forms
     alpha+beta-1, alpha-beta, beta-alpha and 1-alpha-beta.
     """
-    alpha, beta = _check_unit_interval(alpha, beta)
+    alpha, beta = check_unit_interval(alpha, beta)
     law = two_projection_law(alpha, beta)
 
     candidates = (

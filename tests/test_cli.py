@@ -127,18 +127,57 @@ def _worked_with(factor):
         "B": {"blocks": [{"size": 1, "weights": ["1/2"]},
                          {"size": 1, "weights": ["1/2"]}]},
     })),
+    (["analyze"], "[" * 200_000),
+    (["conjecture", "--kind", "matrix"], '{"A": ' + "[" * 200_000),
+    (["ideals"], b'{"factors": [{"name": "\xff"}]}'),
+    (["conjecture", "--kind", "abelian"], b"\xfe\xff"),
 ], ids=["missing-Y", "malformed-json", "atom-without-mass", "isolated-not-boolean",
         "boolean-mass", "atoms-not-array", "matrix-without-blocks",
-        "block-size-not-integer"])
+        "block-size-not-integer", "nested-arrays", "nested-arrays-in-object",
+        "not-utf8", "not-utf8-bom"])
 def test_bad_json_input_is_one_error_line(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     assert run(argv + [str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_duplicate_factor_names_refused(problem_file, capsys):
+    # with two factors named A the JSON report kept one choice per name
+    problem = {"factors": [
+        {"name": "A", "atoms": [{"label": "u", "mass": "1/2"},
+                                {"label": "v", "mass": "1/2"}]},
+        {"name": "B", "atoms": [{"label": "p", "mass": "3/5"},
+                                {"label": "q", "mass": "2/5"}]},
+        {"name": "A", "atoms": [{"label": "x", "mass": "2/3"},
+                                {"label": "y", "mass": "1/3"}]},
+    ]}
+    path = problem_file(problem)
+    for argv in (["analyze", path], ["analyze", "--format", "json", path],
+                 ["ideals", path]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate factor names ['A']\n"
+
+
+def test_moments_negative_max_n_refused(capsys):
+    for extra in ([], ["--compare-law"], ["--format", "json"]):
+        assert run(["moments", "--alpha", "7/10", "--beta", "3/5",
+                    "--max-n", "-1"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be nonnegative\n"
+    # the domain check still comes first, as for every other --max-n
+    assert run(["moments", "--alpha", "2", "--beta", "3/5", "--max-n", "-1"]) == 1
+    assert capsys.readouterr().err == "error: alpha and beta must lie in (0, 1)\n"
 
 
 def test_usage_error_exit_code():

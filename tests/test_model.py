@@ -50,6 +50,17 @@ def test_duplicate_label():
         validate_factor(make_factor("A", ["1/2", "1/2"], labels=["p", "p"]))
 
 
+def test_duplicate_factor_name():
+    a = make_factor("A", ["1/2", "1/2"], labels=["u", "x"])
+    b = make_factor("B", ["3/5", "2/5"], labels=["p", "q"])
+    with pytest.raises(DuplicateLabel, match="duplicate factor names \\['A'\\]"):
+        normalize_problem(ProblemSpec((a, b, a)))
+    # a repeated name is refused even on a trivial factor that would be elided
+    c = make_factor("C", ["1"])
+    with pytest.raises(DuplicateLabel):
+        normalize_problem(ProblemSpec((a, b, c, c)))
+
+
 def test_validate_idempotent():
     f = make_factor("A", ["2/3", "1/3"])
     assert validate_factor(validate_factor(f)) == validate_factor(f)

@@ -125,3 +125,32 @@ def test_limits():
         free_cumulants_projection(F(1, 2), 17)
     with pytest.raises(DomainError):
         alternating_moment(F(0), F(1, 2), 1)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1)),
+    (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)),
+])
+def test_one_unit_interval_check(alpha, beta):
+    import ast
+    import inspect
+
+    from freeprod import nc
+    from freeprod.twoproj import two_projection_law, two_projection_structure
+
+    calls = (
+        lambda: alternating_moment(alpha, beta, 1),
+        lambda: alternating_moment(alpha, beta, 0),
+        lambda: wedge_trace(alpha, beta),
+        lambda: two_projection_law(alpha, beta),
+        lambda: two_projection_structure(alpha, beta),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^alpha and beta must lie in \(0, 1\)$"):
+            call()
+    # the oracle stays independent of the law it certifies
+    imported = {
+        node.module for node in ast.walk(ast.parse(inspect.getsource(nc)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert not any("twoproj" in (m or "") for m in imported)

@@ -5,9 +5,10 @@ import pytest
 
 from freeprod.errors import DimensionError
 from freeprod.rmt import (
+    ATOM_ONE_CUTOFF,
     MOMENT_ORDERS,
+    _spectrum,
     eigenvalue_csv_rows,
-    haar_unitary,
     ks_statistic,
     round_half_up,
     sample_pqp_spectrum,
@@ -15,6 +16,12 @@ from freeprod.rmt import (
     verify_two_projection_law,
 )
 from freeprod.twoproj import two_projection_law
+from rmt_reference import (
+    haar_unitary,
+    reference_ks_statistic,
+    reference_law_cdf,
+    reference_spectrum,
+)
 
 F = Fraction
 
@@ -30,6 +37,28 @@ def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(0)
     u = haar_unitary(64, rng)
     assert np.allclose(u @ u.conj().T, np.eye(64), atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(7, 10), F(3, 5)),    # rp > rq, atom at 1
+    (F(3, 10), F(3, 5)),    # rp < rq
+    (F(7, 10), F(7, 10)),   # alpha = beta
+    (F(1, 3), F(2, 3)),     # alpha + beta = 1
+    (F(1, 2), F(1, 2)),
+])
+@pytest.mark.parametrize("dim", [16, 48, 128, 512])
+def test_spectrum_matches_dense_reference(alpha, beta, dim):
+    rp, rq = round_half_up(alpha * dim), round_half_up(beta * dim)
+    for seed in (0, 1, 7):
+        seq = np.random.SeedSequence([seed, dim])
+        fast = _spectrum(rp, rq, dim, np.random.default_rng(seq))
+        dense = reference_spectrum(rp, rq, dim, np.random.default_rng(seq))
+        assert fast.shape == dense.shape == (dim,)
+        assert np.all(np.diff(fast) >= 0.0)
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+        assert np.sum(fast > ATOM_ONE_CUTOFF) == np.sum(dense > ATOM_ONE_CUTOFF)
+        # the dim - min(rp, rq) null directions are exact zeros
+        assert np.all(fast[: dim - min(rp, rq)] == 0.0)
 
 
 def test_spectrum_range_and_rank_identity():
@@ -77,9 +106,33 @@ def test_ks_inverse_cdf_self_consistency():
     grid = np.linspace(0.0, 1.0, 400001)
     from freeprod.twoproj import law_cdf
 
-    cdf = np.array([law_cdf(law, t) for t in grid])
+    cdf = law_cdf(law, grid)
     samples = grid[np.searchsorted(cdf, u, side="left").clip(0, len(grid) - 1)]
     assert ks_statistic(samples, law) < 0.01
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(7, 10), F(3, 5)), (F(3, 10), F(3, 5)), (F(7, 10), F(7, 10)),
+    (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)),
+])
+def test_array_cdf_and_ks_match_loop_reference(alpha, beta):
+    from freeprod.twoproj import QUADRATURE_POINTS, _quadrature, law_cdf
+
+    law = two_projection_law(alpha, beta)
+    t, _ = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
+    points = np.concatenate([
+        [-1.0, -1e-9, 0.0, law.support_a, law.support_b, 1.0, 2.0],
+        t[::97], np.nextafter(t[::89], -np.inf), np.linspace(0.0, 1.0, 257),
+    ])
+    cdf = law_cdf(law, points)
+    for x, f in zip(points, cdf):
+        assert law_cdf(law, float(x)) == f
+        assert abs(f - reference_law_cdf(law, float(x))) <= 1e-12
+    for seed in (0, 1):
+        eigs = np.sort(np.concatenate(trial_spectra(alpha, beta, 64, seed, 2)))
+        assert abs(ks_statistic(eigs, law) - reference_ks_statistic(eigs, law)) <= 1e-12
+    for eigs in (np.zeros(10), np.ones(10), points):
+        assert abs(ks_statistic(eigs, law) - reference_ks_statistic(eigs, law)) <= 1e-12
 
 
 def test_verify_passes_and_is_deterministic():
