@@ -19,7 +19,7 @@ from .conjectures import (
     conjecture_finite_dim,
     matrix_block_from_json,
 )
-from .engine import decompose, ideals_to_json, report_to_json
+from .engine import decompose, report_to_json, write_ideals
 from .errors import DomainError, FreeprodError, RefusedTwoProjectionCase
 from .model import (
     factor_from_json,
@@ -194,15 +194,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    problem = normalize_problem(load_problem(args.problem))
-    report = decompose(problem)
-    obj = ideals_to_json(report)
-    if args.format == "json":
-        _print_json(obj)
-    else:
-        print(f"ideal_count={obj['ideal_count']}")
-        for item in obj["ideals"]:
-            print(item)
+    report = decompose(normalize_problem(load_problem(args.problem)))
+    write_ideals(report, sys.stdout, args.format)
     return 0
 
 

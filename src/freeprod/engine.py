@@ -3,17 +3,19 @@
 Enumerates atom tuples whose deficit sum Sum(1 - mass) is at most 1,
 splits them into direct summands (deficit < 1, every chosen atom isolated)
 and characters (deficit = 1, or deficit < 1 with a non-isolated choice),
-and derives the verdict set and the full ideal lattice.  An infinite product
-is a prefix problem whose tuples start from the certified tail deficit; the
-same walker and report builder serve both.  Everything here is exact
-rational arithmetic.
+and derives the verdict set and the full ideal lattice.  The lattice is
+walked one killed-summand mask at a time, so :func:`write_ideals` streams it
+without holding it whole.  An infinite product is a prefix problem whose
+tuples start from the certified tail deficit; the same walker and report
+builder serve both.  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     DegenerateProblem,
@@ -278,6 +280,48 @@ def decompose(problem: NormalizedProblem) -> StructureReport:
     )
 
 
+def _lattice_walk(report: StructureReport) -> tuple[
+    list[Optional[frozenset[int]]],
+    Iterator[tuple[list[int], tuple[Fraction, Fraction]]],
+]:
+    """The one walk of the ideal lattice: character parts and killed masks.
+
+    Returns ``(parts, masks)``.  ``parts`` lists the character parts: zero
+    (``None``), then the kernel intersection over each subset of the
+    characters in mask order, so ``parts[1]`` is the whole corner and every
+    later part is nonunital.  ``masks`` yields, per killed-summand mask in
+    ascending order, the sorted killed summand indices and the unit traces
+    of the two unital ideals over them (zero part, whole corner).  Above
+    MAX_IDEALS elements it raises LimitExceeded before building anything.
+    """
+    if report.ideal_count > MAX_IDEALS:
+        raise LimitExceeded(
+            f"ideal lattice has {report.ideal_count} elements, "
+            f"exceeds cap {MAX_IDEALS}"
+        )
+    c = len(report.characters)
+    parts: list[Optional[frozenset[int]]] = [None] + [
+        frozenset(j for j in range(c) if f_mask >> j & 1) for f_mask in range(2**c)
+    ]
+    # The masks come from a separate generator so that the cap above is
+    # checked at this call, not at the first mask.
+    return parts, _killed_masks([g for _, g in report.summands], report.r0_trace)
+
+
+def _killed_masks(gammas: list[Fraction], r0_trace: Fraction):
+    s = len(gammas)
+    # above[k] is the trace of the current mask's bits >= k; when the mask
+    # steps to m with lowest set bit k, above[k + 1] is trace(m & (m - 1)).
+    above = [ZERO] * (s + 1)
+    for mask in range(2**s):
+        trace = ZERO
+        if mask:
+            k = (mask & -mask).bit_length() - 1
+            trace = above[k + 1] + gammas[k]
+            above[: k + 1] = [trace] * (k + 1)
+        yield [i for i in range(s) if mask >> i & 1], (trace, trace + r0_trace)
+
+
 def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]:
     """All ideals, each annotated with unitality and (if unital) unit trace.
 
@@ -291,30 +335,14 @@ def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]
     whole corner are unital.  Above MAX_IDEALS elements it raises
     LimitExceeded before building anything.
     """
-    if report.ideal_count > MAX_IDEALS:
-        raise LimitExceeded(
-            f"ideal lattice has {report.ideal_count} elements, "
-            f"exceeds cap {MAX_IDEALS}"
-        )
-    s = len(report.summands)
-    c = len(report.characters)
-    gammas = [g for _, g in report.summands]
-    parts: list[Optional[frozenset[int]]] = [None] + [
-        frozenset(j for j in range(c) if f_mask >> j & 1) for f_mask in range(2**c)
-    ]
+    parts, masks = _lattice_walk(report)
     out: list[tuple[IdealDescriptor, dict]] = []
-    for killed_mask in range(2**s):
-        killed = frozenset(i for i in range(s) if killed_mask >> i & 1)
-        killed_trace = sum((gammas[i] for i in killed), ZERO)
-        for part in parts:
-            desc = IdealDescriptor(killed, part)
-            if part is None:
-                ann = {"unital": True, "unit_trace": killed_trace}
-            elif len(part) == 0:
-                ann = {"unital": True, "unit_trace": killed_trace + report.r0_trace}
-            else:
-                ann = {"unital": False, "unit_trace": None}
-            out.append((desc, ann))
+    for killed, unit_traces in masks:
+        killed = frozenset(killed)
+        for j, part in enumerate(parts):
+            unit = unit_traces[j] if j < 2 else None
+            ann = {"unital": unit is not None, "unit_trace": unit}
+            out.append((IdealDescriptor(killed, part), ann))
     assert len(out) == report.ideal_count
     return out
 
@@ -366,3 +394,63 @@ def ideals_to_json(report: StructureReport) -> dict:
             }
         )
     return {"ideal_count": report.ideal_count, "ideals": items}
+
+
+# Key text around the four values of one ideal, as json.dumps(indent=2)
+# prints it inside the "ideals" list and as repr() prints the ideal's dict.
+_JSON_KEYS = ('    {\n      "killed_summands": ', ',\n      "character_part": ',
+              ',\n      "unital": ', ',\n      "unit_trace": ', '\n    }')
+_TEXT_KEYS = ("{'killed_summands': ", ", 'character_part': ",
+              ", 'unital': ", ", 'unit_trace': ", "}")
+
+
+def _json_value(value) -> str:
+    """json.dumps(indent=2) text of a value nested at an ideal's key depth.
+
+    The lists here hold ints only, so their indented form is written out
+    directly rather than through json's pure-Python indenting encoder.
+    """
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+    return json.dumps(value)
+
+
+def write_ideals(report: StructureReport, out, fmt: str) -> None:
+    """Write the ideal lattice to ``out`` as ``freeprod ideals`` prints it.
+
+    With ``fmt == "json"`` the bytes are those of
+    ``json.dumps(ideals_to_json(report), indent=2, ensure_ascii=False)``
+    plus a newline; otherwise an ``ideal_count=`` line and one line per
+    ideal holding the repr of its ``ideals_to_json`` dict.  Every ideal has
+    the same shape, so the text of each character part is made once and the
+    killed summands and unit traces once per killed mask; the lattice is
+    written one mask at a time and never held whole.  LimitExceeded is
+    raised before anything is written.
+    """
+    parts, masks = _lattice_walk(report)
+    if fmt == "json":
+        keys, value, sep = _JSON_KEYS, _json_value, ",\n"
+        out.write(f'{{\n  "ideal_count": {report.ideal_count},\n  "ideals": [\n')
+        end = "\n  ]\n}\n"
+    else:
+        keys, value, sep = _TEXT_KEYS, repr, "\n"
+        out.write(f"ideal_count={report.ideal_count}\n")
+        end = "\n"
+    part_text = [
+        keys[1] + value("zero" if part is None else sorted(part))
+        + keys[2] + value(j < 2) + keys[3]
+        for j, part in enumerate(parts)
+    ]
+    nonunital = [text + value(None) + keys[4] for text in part_text[2:]]
+    lead = ""
+    for killed, unit_traces in masks:
+        unital = [
+            text + value(format_rational(unit)) + keys[4]
+            for text, unit in zip(part_text, unit_traces)
+        ]
+        head = keys[0] + value(killed)
+        out.write(lead + head + (sep + head).join(unital + nonunital))
+        lead = sep
+    out.write(end)

@@ -102,17 +102,40 @@ def _quadrature(a: float, b: float, n_points: int):
 
 
 def law_moment(law: TwoProjectionLaw, n: int) -> float:
-    """n-th moment: atom at 1 plus quadrature of t^n against the density.
+    """n-th moment: atom at 1 plus the integral of t^n against the density.
 
-    n = 0 counts the atom at zero as well (0^0 = 1).
+    n = 0 counts the atom at zero as well (0^0 = 1).  The density's poles
+    1/t and 1/(1-t) sit just outside [a, b] near a pinch, where quadrature
+    of them loses accuracy, so they are integrated in closed form:
+
+        int sqrt(R) / (2 pi t)     = (sqrt(b) - sqrt(a))^2 / 4
+        int sqrt(R) / (2 pi (1-t)) = (sqrt(1-a) - sqrt(1-b))^2 / 4
+
+    with R = (b - t)(t - a), sqrt(a) = |alpha - beta| / sqrt(b) and
+    sqrt(1-b) = |1 - alpha - beta| / sqrt(1-a) taken from the exact
+    rationals (a*b = (alpha-beta)^2, (1-a)(1-b) = (1-alpha-beta)^2).  Only
+    the pole-free sqrt(R) / (2 pi) times a polynomial is left to the nodes,
+    through t^(n-1) / (1-t) = 1/(1-t) - sum_{k < n-1} t^k.  On the nodes
+    that polynomial part is the density weight times t - t^n, whose zero at
+    t = 1 cancels the weight's pole.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
-    total = float(law.atom_at_one) + float(w @ t**n)
+    # alpha = p/q and beta = r/s over the common denominator q*s, in integer
+    # arithmetic: exact, and cheaper than Fraction subtraction.
+    den = law.alpha.denominator * law.beta.denominator
+    ps = law.alpha.numerator * law.beta.denominator
+    rq = law.beta.numerator * law.alpha.denominator
+    root_b = math.sqrt(law.support_b)
+    root_1a = math.sqrt(1.0 - law.support_a)
+    root_a = abs(ps - rq) / den / root_b
+    root_1b = abs(den - ps - rq) / den / root_1a
+    pole_one = 0.25 * (root_1a - root_1b) ** 2
     if n == 0:
-        total += float(law.atom_at_zero)
-    return total
+        pole_zero = 0.25 * (root_b - root_a) ** 2
+        return float(law.atom_at_one) + pole_zero + pole_one + float(law.atom_at_zero)
+    t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
+    return float(law.atom_at_one) + pole_one - float(w @ (t - t**n))
 
 
 def law_cdf(law: TwoProjectionLaw, x):
