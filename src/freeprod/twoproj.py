@@ -7,11 +7,12 @@ square-root vanishing at both edges:
     a, b    = alpha + beta - 2*alpha*beta -+ 2*sqrt(alpha*beta*(1-alpha)*(1-beta))
     density = sqrt((b - t)(t - a)) / (2*pi*t*(1-t))
 
-These expressions are treated as candidates and certified against the exact
-moment oracle in :mod:`freeprod.nc` (see :func:`certify_law` and the test
-suite); a useful identity is a*b = (alpha-beta)^2 and
-(1-a)(1-b) = (1-alpha-beta)^2, so a = 0 iff alpha = beta and b = 1 iff
-alpha + beta = 1 (checked on exact rationals, never on floats).
+The identities a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2 give
+a = 0 iff alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact
+rationals, never on floats), and make the law's moments and distribution
+function closed forms (:func:`law_moment`, :func:`law_cdf`).  The endpoints
+and the 1/(2 pi) normalization are candidates, certified against the exact
+moment oracle in :mod:`freeprod.nc` by :func:`certify_law` and the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
@@ -28,9 +28,6 @@ from .nc import alternating_moment, check_unit_interval, wedge_trace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: Quadrature resolution after the edge-absorbing sine substitution.
-QUADRATURE_POINTS = 4096
 
 #: Rows written by the density CSV export.
 DENSITY_CSV_ROWS = 1024
@@ -82,75 +79,70 @@ def law_density(law: TwoProjectionLaw, t: float) -> float:
     return math.sqrt(rad) / (2.0 * math.pi * t * (1.0 - t))
 
 
-@lru_cache(maxsize=256)
-def _quadrature(a: float, b: float, n_points: int):
-    """Nodes and weights (numpy arrays) for integrating f(t) * density(t).
-
-    Substituting t = m + h*sin(theta) turns the square-root edge factor into
-    h*cos(theta), leaving an integrand analytic on [-pi/2, pi/2]; a midpoint
-    rule then converges fast.  Weights already include the density.  numpy
-    is imported here, so the exact-only paths never load it.
-    """
-    import numpy as np
-
-    m = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    theta = -0.5 * np.pi + (np.arange(n_points) + 0.5) * (np.pi / n_points)
-    t = m + h * np.sin(theta)
-    w = (h * np.cos(theta)) ** 2 / (2.0 * n_points * t * (1.0 - t))
-    return t, w
-
-
 def law_moment(law: TwoProjectionLaw, n: int) -> float:
-    """n-th moment: atom at 1 plus the integral of t^n against the density.
+    """n-th moment: 1 at n = 0, and alpha*beta - sum_{k < n-1} P_k beyond.
 
-    n = 0 counts the atom at zero as well (0^0 = 1).  The density's poles
-    1/t and 1/(1-t) sit just outside [a, b] near a pinch, where quadrature
-    of them loses accuracy, so they are integrated in closed form:
+    P_k = m_(k+1) - m_(k+2) is the k-th moment of sqrt(R) / (2 pi) with
+    R = (b - t)(t - a), in which the atoms and the density's poles cancel.
+    With m = (a+b)/2, h = (b-a)/2 and Catalan numbers Cat_j, substituting
+    t = m + h sin(theta) gives
 
-        int sqrt(R) / (2 pi t)     = (sqrt(b) - sqrt(a))^2 / 4
-        int sqrt(R) / (2 pi (1-t)) = (sqrt(1-a) - sqrt(1-b))^2 / 4
+        P_k = (h^2/4) sum_j C(k, 2j) m^(k-2j) (h^2/4)^j Cat_j.
 
-    with R = (b - t)(t - a), sqrt(a) = |alpha - beta| / sqrt(b) and
-    sqrt(1-b) = |1 - alpha - beta| / sqrt(1-a) taken from the exact
-    rationals (a*b = (alpha-beta)^2, (1-a)(1-b) = (1-alpha-beta)^2).  Only
-    the pole-free sqrt(R) / (2 pi) times a polynomial is left to the nodes,
-    through t^(n-1) / (1-t) = 1/(1-t) - sum_{k < n-1} t^k.  On the nodes
-    that polynomial part is the density weight times t - t^n, whose zero at
-    t = 1 cancels the weight's pole.
+    m and h come from the float endpoints, so these moments test the
+    endpoint formulas and the normalization against the exact oracle.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    # alpha = p/q and beta = r/s over the common denominator q*s, in integer
-    # arithmetic: exact, and cheaper than Fraction subtraction.
-    den = law.alpha.denominator * law.beta.denominator
-    ps = law.alpha.numerator * law.beta.denominator
-    rq = law.beta.numerator * law.alpha.denominator
-    root_b = math.sqrt(law.support_b)
-    root_1a = math.sqrt(1.0 - law.support_a)
-    root_a = abs(ps - rq) / den / root_b
-    root_1b = abs(den - ps - rq) / den / root_1a
-    pole_one = 0.25 * (root_1a - root_1b) ** 2
     if n == 0:
-        pole_zero = 0.25 * (root_b - root_a) ** 2
-        return float(law.atom_at_one) + pole_zero + pole_one + float(law.atom_at_zero)
-    t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
-    return float(law.atom_at_one) + pole_one - float(w @ (t - t**n))
+        return 1.0
+    m = 0.5 * (law.support_a + law.support_b)
+    q = (0.25 * (law.support_b - law.support_a)) ** 2  # h^2 / 4
+    moment = float(law.alpha * law.beta)
+    for k in range(n - 1):
+        moment -= q * sum(
+            math.comb(k, 2 * j) * (math.comb(2 * j, j) // (j + 1)) * m ** (k - 2 * j) * q**j
+            for j in range(k // 2 + 1)
+        )
+    return moment
 
 
 def law_cdf(law: TwoProjectionLaw, x):
     """Distribution function F(x) of the law (right-continuous).
 
     ``x`` is a float or an array of floats; the result has the same shape.
+    The density is sqrt(R) / (2 pi) (1/t + 1/(1-t)), and with m = (a+b)/2
+
+        int_a^x sqrt(R) / t dt = sqrt(R) + m phi - sqrt(ab) psi,
+        phi = atan2(x - m, sqrt(R)) + pi/2,
+        psi = atan2((a+b) x - 2ab, 2 sqrt(ab) sqrt(R)) + pi/2;
+
+    the 1/(1-t) term is the same on [1-b, 1-a] under t -> 1-t.  Taking
+    sqrt(ab) = |alpha - beta| and sqrt((1-a)(1-b)) = |1 - alpha - beta|
+    exactly, the two terms carry the exact pole masses
+    min(alpha, beta) (1 - max(alpha, beta)) and alpha*beta - atom_at_one,
+    so F(1) = 1 to rounding.  atan2 keeps full accuracy at x = b, where
+    arcsin forms of the angles lose it.  numpy is imported here only.
     """
     import numpy as np
 
-    t, w = _quadrature(law.support_a, law.support_b, QUADRATURE_POINTS)
+    def pole_integral(lo, hi, root, x):  # int_lo^x sqrt(R) / t dt
+        x = np.clip(x, lo, hi)
+        rad = np.sqrt((hi - x) * (x - lo))
+        mid = 0.5 * (lo + hi)
+        phi = np.arctan2(x - mid, rad) + 0.5 * np.pi
+        psi = np.arctan2((lo + hi) * x - 2.0 * lo * hi, 2.0 * root * rad) + 0.5 * np.pi
+        return rad + mid * phi - root * psi
+
+    a, b = law.support_a, law.support_b
     x = np.asarray(x, dtype=float)
-    # The nodes are ascending, so the weight of {t <= x} is a prefix sum.
-    cumulative = np.concatenate(([0.0], np.cumsum(w)))
-    below = cumulative[np.searchsorted(t, x, side="right")]
-    total = np.where(x >= 0.0, float(law.atom_at_zero), 0.0) + below
+    root_one = float(abs(1 - law.alpha - law.beta))
+    ac = (
+        pole_integral(a, b, float(abs(law.alpha - law.beta)), x)
+        + pole_integral(1.0 - b, 1.0 - a, root_one, 1.0 - a)
+        - pole_integral(1.0 - b, 1.0 - a, root_one, 1.0 - x)
+    ) / (2.0 * np.pi)
+    total = np.where(x >= 0.0, float(law.atom_at_zero), 0.0) + ac
     total = total + np.where(x >= 1.0, float(law.atom_at_one), 0.0)
     return float(total) if total.ndim == 0 else total
 
@@ -159,8 +151,9 @@ def certify_law(alpha: Fraction, beta: Fraction, nmax: int = 8, tol: float = 1e-
     """Compare analytic moments with the exact oracle; return the worst error.
 
     Raises DomainError if any moment up to nmax disagrees beyond tol.  This
-    is the gate that certifies the undocumented endpoint and normalization
-    formulas.
+    is the gate that certifies the undocumented endpoint formulas for a and
+    b and the 1/(2 pi) normalization, both carried by the P_k of
+    :func:`law_moment`; moments 0 and 1 are exact by construction.
     """
     law = two_projection_law(alpha, beta)
     worst = 0.0

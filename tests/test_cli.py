@@ -341,24 +341,50 @@ def _run_python(code, *args):
     )
 
 
-def test_exact_commands_do_not_load_numpy(problem_file):
+def test_exact_commands_do_not_load_numpy(problem_file, tmp_path):
     problem = problem_file(WORKED)
     conj = problem_file({"X": WORKED["factors"][0], "Y": WORKED["factors"][1]}, "conj.json")
     code = """
 import sys
+from fractions import Fraction
 from freeprod.cli import run
-problem, conj = sys.argv[1:]
+from freeprod.twoproj import certify_law
+problem, conj, csv = sys.argv[1:]
 for argv in (["analyze", problem], ["analyze", problem, "--format", "json"],
              ["ideals", problem], ["conjecture", "--kind", "abelian", conj],
              ["moments", "--alpha", "7/10", "--beta", "3/5"],
-             ["two-proj", "--alpha", "7/10", "--beta", "3/5"]):
+             ["moments", "--alpha", "7/10", "--beta", "3/5", "--compare-law"],
+             ["two-proj", "--alpha", "7/10", "--beta", "3/5"],
+             ["two-proj", "--alpha", "7/10", "--beta", "3/5", "--density-csv", csv]):
     assert run(argv) == 0, argv
+assert certify_law(Fraction(7, 10), Fraction(3, 5)) < 1e-15
 assert "numpy" not in sys.modules
 print("numpy not loaded")
 """
-    proc = _run_python(code, problem, conj)
+    proc = _run_python(code, problem, conj, str(tmp_path / "density.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("numpy not loaded\n")
+
+
+def test_unallocatable_mc_dim_is_one_error_line():
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # The two dim x dim Ginibre draws need 7.28 TiB each.
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "mc", "--alpha", "1/2", "--beta", "1/3",
+         "--dim", "1000000", "--trials", "1"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
 
 def test_deep_problem_analyzes_without_recursion(problem_file):

@@ -74,13 +74,25 @@ def test_certify_pinches_at_extreme_masses(alpha):
 
 # Near a pinch but not on it, where integrating the density's 1/t and
 # 1/(1-t) poles by quadrature missed by 1.6e-8 to 1.7e-5.
-@pytest.mark.parametrize("alpha, beta", [
+NEAR_PINCH = [
     (F(1, 1000), F(1, 999)),
     (F(3, 1000), F(1, 333)),
     (F(3, 1000), F(2, 667)),
     (F(120, 331), F(37, 58)),
     (F(21, 43), F(459, 940)),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("alpha, beta", NEAR_PINCH, ids=str)
 def test_certify_near_pinch(alpha, beta):
     assert certify_law(alpha, beta) < CERTIFY_BOUND
     assert certify_law(beta, alpha) < CERTIFY_BOUND
+
+
+# The closed-form moments agree with the oracle to rounding, not just to the
+# certificate's tolerance.
+@pytest.mark.parametrize("alpha, beta", [(a, b) for a in GRID for b in GRID] + NEAR_PINCH,
+                         ids=str)
+def test_certify_to_rounding(alpha, beta):
+    assert certify_law(alpha, beta) <= 1e-15
+    assert certify_law(beta, alpha) <= 1e-15

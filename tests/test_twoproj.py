@@ -54,10 +54,17 @@ def test_density_vanishes_at_edges():
         law_density(law, law.support_b + 1e-6)
 
 
+# Near a pinch but not on it (the pairs of test_oracle.test_certify_near_pinch).
+NEAR_PINCH = [(F(1, 1000), F(1, 999)), (F(3, 1000), F(1, 333)), (F(3, 1000), F(2, 667)),
+              (F(120, 331), F(37, 58)), (F(21, 43), F(459, 940))]
+
+
 def test_total_mass():
-    for a, b in [(F(1, 2), F(1, 2)), (F(7, 10), F(3, 5)), (F(9, 10), F(1, 10))]:
+    near = NEAR_PINCH + [(b, a) for a, b in NEAR_PINCH]
+    for a, b in [(F(1, 2), F(1, 2)), (F(7, 10), F(3, 5)), (F(9, 10), F(1, 10))] + near:
         law = two_projection_law(a, b)
         assert law_moment(law, 0) == pytest.approx(1.0, abs=1e-10)
+        assert abs(law_cdf(law, 1.0) - 1.0) <= 1e-15
 
 
 def test_oracle_gate_spot_checks():
@@ -76,6 +83,7 @@ def test_law_symmetry_in_alpha_beta():
     for i in range(1, 10):
         t = la.support_a + (la.support_b - la.support_a) * i / 10
         assert law_density(la, t) == pytest.approx(law_density(lb, t), abs=1e-12)
+        assert law_cdf(la, t) == pytest.approx(law_cdf(lb, t), abs=1e-12)
 
 
 def test_moments_monotone_and_converge_to_atom():
@@ -102,6 +110,29 @@ def test_cdf_basics():
     assert law_cdf(law, 0.0) == pytest.approx(0.4, abs=1e-12)
     assert law_cdf(law, 1.0) == pytest.approx(1.0, abs=1e-10)
     assert law_cdf(law, 0.99) == pytest.approx(0.7, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(7, 10), F(3, 5)), (F(1, 2), F(1, 2)), (F(7, 10), F(7, 10)), (F(1, 3), F(2, 3)),
+    (F(1, 1000), F(1, 999)), (F(21, 43), F(459, 940)),
+], ids=str)
+def test_cdf_matches_high_precision_integral(alpha, beta):
+    mp = pytest.importorskip("mpmath")
+    law = two_projection_law(alpha, beta)
+    a, b = law.support_a, law.support_b
+    # 20 interior points, denser towards a, where a near-pinch pole sits.
+    xs = [a + (b - a) * math.sin(math.pi * i / 42) ** 2 for i in range(1, 21)]
+    with mp.workdps(30):
+        ma, mb = mp.mpf(a), mp.mpf(b)
+
+        def density(t):  # law_density at 30 digits, on the law's float endpoints
+            return mp.sqrt((mb - t) * (t - ma)) / (2 * mp.pi * t * (1 - t))
+
+        mass, prev = mp.mpf(law.atom_at_zero.numerator) / law.atom_at_zero.denominator, ma
+        for x in xs:
+            mass += mp.quad(density, [prev, mp.mpf(x)])
+            prev = mp.mpf(x)
+            assert abs(law_cdf(law, x) - float(mass)) <= 1e-12
 
 
 def test_structure_three_displayed_cases():
