@@ -22,7 +22,7 @@ from .model import (
     normalize_problem,
     validate_factor,
 )
-from .nc import alternating_moment, wedge_trace
+from .nc import alternating_moment, alternating_moments, wedge_trace
 from .twoproj import (
     TwoProjectionLaw,
     TwoProjStructure,
@@ -46,6 +46,7 @@ __all__ = [
     "TwoProjectionLaw",
     "VerdictSet",
     "alternating_moment",
+    "alternating_moments",
     "certify_law",
     "classify_atom_tuples",
     "decompose",

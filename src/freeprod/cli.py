@@ -20,7 +20,7 @@ from .conjectures import (
     matrix_block_from_json,
 )
 from .engine import decompose, report_to_json, write_ideals
-from .errors import DomainError, FreeprodError, RefusedTwoProjectionCase
+from .errors import FreeprodError, RefusedTwoProjectionCase
 from .model import (
     factor_from_json,
     format_rational,
@@ -29,7 +29,7 @@ from .model import (
     load_problem,
     normalize_problem,
 )
-from .nc import alternating_moment, wedge_trace
+from .nc import alternating_moments, wedge_trace
 from .twoproj import (
     density_csv_rows,
     law_moment,
@@ -160,15 +160,10 @@ def cmd_two_proj(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    wedge = wedge_trace(args.alpha, args.beta)
-    if args.max_n < 0:
-        raise DomainError("n must be nonnegative")
+    moments = alternating_moments(args.alpha, args.beta, args.max_n)
     rows = []
     law = two_projection_law(args.alpha, args.beta) if args.compare_law else None
-    for n in range(args.max_n + 1):
-        exact = (
-            Fraction(1) if n == 0 else alternating_moment(args.alpha, args.beta, n)
-        )
+    for n, exact in enumerate(moments):
         row = {"n": n, "exact": format_rational(exact)}
         if law is not None:
             analytic = law_moment(law, n)
@@ -178,7 +173,7 @@ def cmd_moments(args) -> int:
     obj = {
         "alpha": format_rational(args.alpha),
         "beta": format_rational(args.beta),
-        "wedge_trace": format_rational(wedge),
+        "wedge_trace": format_rational(wedge_trace(args.alpha, args.beta)),
         "moments": rows,
     }
     if args.format == "json":

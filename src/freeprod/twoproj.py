@@ -9,10 +9,12 @@ square-root vanishing at both edges:
 
 The identities a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2 give
 a = 0 iff alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact
-rationals, never on floats), and make the law's moments and distribution
-function closed forms (:func:`law_moment`, :func:`law_cdf`).  The endpoints
-and the 1/(2 pi) normalization are candidates, certified against the exact
-moment oracle in :mod:`freeprod.nc` by :func:`certify_law` and the tests.
+rationals, never on floats), give a as (alpha-beta)^2 / b without the
+cancellation of the difference form when alpha ~ beta, and make the law's
+moments and distribution function closed forms (:func:`law_moment`,
+:func:`law_cdf`).  The endpoints and the 1/(2 pi) normalization are
+candidates, certified against the exact moment oracle in :mod:`freeprod.nc`
+by :func:`certify_law` and the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .nc import alternating_moment, check_unit_interval, wedge_trace
+from .nc import alternating_moments, check_unit_interval, wedge_trace
+from .nc import alternating_moment  # noqa: F401  perfbench's tracer wraps it here by name
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,8 +59,9 @@ def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     af, bf = float(alpha), float(beta)
     center = af + bf - 2.0 * af * bf
     half = 2.0 * math.sqrt(af * bf * (1.0 - af) * (1.0 - bf))
-    a = 0.0 if alpha == beta else center - half
     b = 1.0 if alpha + beta == 1 else center + half
+    # a*b = (alpha-beta)^2 exactly; center - half cancels when alpha ~ beta
+    a = 0.0 if alpha == beta else float((alpha - beta) ** 2) / b
     return TwoProjectionLaw(
         alpha=alpha,
         beta=beta,
@@ -150,17 +154,18 @@ def law_cdf(law: TwoProjectionLaw, x):
 def certify_law(alpha: Fraction, beta: Fraction, nmax: int = 8, tol: float = 1e-8) -> float:
     """Compare analytic moments with the exact oracle; return the worst error.
 
-    Raises DomainError if any moment up to nmax disagrees beyond tol.  This
-    is the gate that certifies the undocumented endpoint formulas for a and
-    b and the 1/(2 pi) normalization, both carried by the P_k of
-    :func:`law_moment`; moments 0 and 1 are exact by construction.
+    The exact moments m_0..m_nmax come from one call to
+    :func:`freeprod.nc.alternating_moments`.  Raises DomainError if any of
+    them disagrees with :func:`law_moment` beyond tol.  This is the gate
+    that certifies the undocumented endpoint formulas for a and b and the
+    1/(2 pi) normalization, both carried by the P_k of :func:`law_moment`;
+    moments 0 and 1 are exact by construction.
     """
     law = two_projection_law(alpha, beta)
-    worst = 0.0
-    for n in range(nmax + 1):
-        exact = float(alternating_moment(alpha, beta, n)) if n > 0 else 1.0
-        err = abs(law_moment(law, n) - exact)
-        worst = max(worst, err)
+    worst = max(
+        abs(law_moment(law, n) - float(exact))
+        for n, exact in enumerate(alternating_moments(alpha, beta, nmax))
+    )
     if worst >= tol:
         raise DomainError(
             f"law certification failed for alpha={alpha}, beta={beta}: "

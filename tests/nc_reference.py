@@ -5,7 +5,9 @@ projections are summed over non-crossing partitions with
 parity-monochromatic blocks (mixed free cumulants vanish), entirely in
 rational arithmetic.  The recursion is exponential in the word length, so it
 is capped; the test suite uses it to cross-check the S-transform recurrence
-in :func:`freeprod.nc.alternating_moment` for n <= 8.
+in :func:`freeprod.nc.alternating_moments` for n <= 8.  The same recurrence
+in Fraction arithmetic, :func:`fraction_moments`, checks the integer pass
+exactly to higher orders.
 """
 
 from __future__ import annotations
@@ -23,6 +25,26 @@ MAX_CUMULANT_ORDER = 16
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def fraction_moments(alpha: Fraction, beta: Fraction, nmax: int) -> list[Fraction]:
+    """m_0..m_nmax by the S-transform recurrence, one Fraction per step.
+
+    The loop ``freeprod.nc`` ran before it moved to scaled integers:
+    m_n = (alpha+beta) m_{n-1} + sum_{k=1}^{n-2} m_k m_{n-1-k}
+    - sum_{k=1}^{n-1} m_k m_{n-k}, from m_1 = alpha*beta.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    m = [ZERO, alpha * beta]  # m[0] is a placeholder: psi has no constant term
+    s = alpha + beta
+    for j in range(2, nmax + 1):
+        total = s * m[j - 1]
+        total += sum((m[k] * m[j - 1 - k] for k in range(1, j - 1)), ZERO)
+        total -= sum((m[k] * m[j - k] for k in range(1, j)), ZERO)
+        m.append(total)
+    return [ONE] + m[1 : nmax + 1]
+
+
 def catalan(n: int) -> int:
     """Closed-form Catalan number C_n = binom(2n, n) / (n + 1)."""
     return math.comb(2 * n, n) // (n + 1)

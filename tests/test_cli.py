@@ -387,6 +387,22 @@ def test_unallocatable_mc_dim_is_one_error_line():
     assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("alpha, extra", [
+    ("1/1" + "0" * 4000, []),
+    ("1/1" + "0" * 40, ["--max-n", "128", "--compare-law"]),
+], ids=["4001-digit-denominator", "41-digit-denominator-n128"])
+def test_moments_past_the_integer_digit_limit_is_one_error_line(alpha, extra):
+    # den(m_n) divides (den alpha * den beta)^n, so these moments could not
+    # be printed; they are refused before the pass starts.
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, "moments", "--alpha", alpha, "--beta", "1/3", *extra)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: moments to n=")
+
+
 def test_deep_problem_analyzes_without_recursion(problem_file):
     deep = {"factors": [
         {"name": f"F{i}", "atoms": [{"label": "a", "mass": "999999/1000000"},

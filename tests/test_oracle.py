@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeprod.nc import MAX_WORD_LENGTH, alternating_moment
+from freeprod.nc import alternating_moment, alternating_moments
 from freeprod.twoproj import certify_law
 
-from nc_reference import reference_moment
+from nc_reference import MAX_REFERENCE_WORD_LENGTH, fraction_moments, reference_moment
 
 F = Fraction
 
-ORACLE_N = MAX_WORD_LENGTH // 2
+ORACLE_N = MAX_REFERENCE_WORD_LENGTH // 2
 
 # alpha = beta on the diagonal, alpha + beta = 1 across it (incl. 1/2, 1/2),
 # and the extreme masses 1/1000 and 999/1000.
@@ -38,6 +38,22 @@ def unit_rationals(max_denominator=1000):
 @given(unit_rationals(), unit_rationals(), st.integers(1, ORACLE_N))
 def test_recurrence_matches_resummation_random(alpha, beta, n):
     assert alternating_moment(alpha, beta, n) == reference_moment(alpha, beta, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_rationals(), unit_rationals(), st.integers(0, ORACLE_N))
+def test_one_pass_matches_each_order_and_resummation(alpha, beta, n):
+    moments = alternating_moments(alpha, beta, n)
+    assert moments == [alternating_moment(alpha, beta, k) for k in range(n + 1)]
+    assert moments[1:] == [reference_moment(alpha, beta, k) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(7, 10), F(7, 10)),
+    (F(1, 1000), F(1, 999)), (F(120, 331), F(37, 58)),
+], ids=str)
+def test_integer_pass_matches_fraction_recurrence(alpha, beta):
+    assert alternating_moments(alpha, beta, 64) == fraction_moments(alpha, beta, 64)
 
 
 # certify_law on the pinched regimes, near them and at extreme masses.  The

@@ -135,6 +135,22 @@ def test_cdf_matches_high_precision_integral(alpha, beta):
             assert abs(law_cdf(law, x) - float(mass)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (F(21, 43), F(459, 940)), (F(1, 1000), F(1, 999)), (F(3, 1000), F(1, 333)),
+    (F(3, 1000), F(2, 667)), (F(120, 331), F(37, 58)), (F(7, 10), F(3, 5)),
+], ids=str)
+def test_support_matches_high_precision(alpha, beta):
+    # a = (alpha-beta)^2 / b keeps full relative accuracy when alpha ~ beta.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(alpha.numerator) / alpha.denominator
+        y = mp.mpf(beta.numerator) / beta.denominator
+        center, half = x + y - 2 * x * y, 2 * mp.sqrt(x * y * (1 - x) * (1 - y))
+        for law in (two_projection_law(alpha, beta), two_projection_law(beta, alpha)):
+            for got, want in ((law.support_a, center - half), (law.support_b, center + half)):
+                assert abs(got - want) / want <= 1e-15
+
+
 def test_structure_three_displayed_cases():
     s = two_projection_structure(F(4, 5), F(3, 5))
     assert dict(s.wedge_summands) == {WEDGE_PQ: F(2, 5), WEDGE_P_NOT_Q: F(1, 5)}
