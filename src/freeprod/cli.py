@@ -39,11 +39,25 @@ from .twoproj import (
 
 
 def _analytic_fraction(s: str) -> Fraction:
-    """Rational parser for the analytic subcommands; accepts decimals too."""
+    """Rational parser for the analytic subcommands; accepts decimals too.
+
+    A value whose numerator or denominator has more digits than the
+    interpreter will print (``Fraction("1e-5000")`` builds 10**5000 without
+    converting any string) is refused like any other unparsable number.
+    """
     try:
-        return Fraction(s)
+        q = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse {s!r} as a number")
+    # absent before Python 3.10.7, where printing integers has no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(abs(q.numerator), q.denominator)
+    # 10**digits has more than 3 * digits bits, so only a longer int can reach it
+    if digits and big.bit_length() > 3 * digits and big >= 10**digits:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse {s!r} as a number: it has more than {digits} digits"
+        )
+    return q
 
 
 def build_parser() -> argparse.ArgumentParser:

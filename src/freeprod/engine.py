@@ -23,21 +23,16 @@ from .errors import (
     RefusedTwoProjectionCase,
     TailUndecidable,
 )
-from .model import (
-    DEGENERATE,
-    TWO_PROJECTION_CASE,
-    FactorSpec,
-    NormalizedProblem,
-    format_rational,
-)
+from .model import FactorSpec, NormalizedProblem, format_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 NOT_CLAIMED = "not_claimed"
 
-#: Largest ideal lattice :func:`ideal_lattice` builds; the count itself is
-#: always available in closed form as ``StructureReport.ideal_count``.
+#: Largest ideal lattice :func:`ideal_lattice` builds or :func:`write_ideals`
+#: streams; the count itself is always available in closed form as
+#: ``StructureReport.ideal_count``.
 MAX_IDEALS = 2**20
 
 
@@ -76,10 +71,9 @@ class VerdictSet:
     trace_exists: bool
     trace_unique: bool
     stable_rank_one: str  # "true" | "not_claimed"
-    special_case: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "afr_simple": self.afr_simple,
             "afr0_simple": self.afr0_simple,
             "afr00_simple": self.afr00_simple,
@@ -88,9 +82,6 @@ class VerdictSet:
             "trace_unique": self.trace_unique,
             "stable_rank_one": self.stable_rank_one,
         }
-        if self.special_case is not None:
-            out["special_case"] = self.special_case
-        return out
 
 
 @dataclass(frozen=True)
@@ -241,25 +232,32 @@ def _verdicts(
         trace_exists=trace_exists,
         trace_unique=trace_exists,
         stable_rank_one="true" if trace_exists else NOT_CLAIMED,
-        special_case=problem.special_case,
     )
 
 
 def decompose(problem: NormalizedProblem) -> StructureReport:
     """Full structure report for a finite problem or a prefix + tail.
 
-    A finite problem needs at least two effective factors and must not be
-    the two-projection case.  For an infinite product (``problem.tail`` set)
-    every tuple is a character, ``r0_trace`` subtracts the character
-    weights, and ``gamma0_as_printed`` is one minus their deficits.
+    This is the one place that decides which problems are refused.  A
+    finite problem with fewer than two effective factors raises
+    DegenerateProblem; one of exactly two factors, each two atoms with no
+    diffuse part, is the two-projection case and raises
+    RefusedTwoProjectionCase (``two_projection_structure`` serves it).
+    Infinite problems are not refused.  For an infinite product
+    (``problem.tail`` set) every tuple is a character, ``r0_trace``
+    subtracts the character weights, and ``gamma0_as_printed`` is one minus
+    their deficits.
     """
+    factors = problem.factors
     infinite = problem.tail is not None
     if not infinite:
-        if problem.special_case == DEGENERATE or problem.n_factors < 2:
+        if len(factors) < 2:
             raise DegenerateProblem(
                 "fewer than two effective factors; the free product is trivial"
             )
-        if problem.special_case == TWO_PROJECTION_CASE:
+        if len(factors) == 2 and all(
+            len(f.atoms) == 2 and f.diffuse_mass == 0 for f in factors
+        ):
             raise RefusedTwoProjectionCase(
                 "both factors are two-point algebras; use two_projection_structure"
             )

@@ -10,9 +10,9 @@ this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DuplicateLabel,
@@ -23,10 +23,6 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# Special-case tags attached by normalize_problem.
-DEGENERATE = "degenerate"
-TWO_PROJECTION_CASE = "two_projection"
 
 
 def parse_rational(value) -> Fraction:
@@ -130,16 +126,14 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class NormalizedProblem:
-    """Canonical form: trivial factors dropped, atoms sorted, tags attached."""
+    """Canonical form: validated, trivial factors dropped, atoms sorted.
+
+    It carries no verdict on the problem; which problems the structure
+    engine refuses is decided by :func:`freeprod.engine.decompose` alone.
+    """
 
     factors: tuple[FactorSpec, ...]
     tail: Optional[TailSpec] = None
-    special_case: Optional[str] = None
-    elided: tuple[str, ...] = ()
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
 
 
 def validate_factor(raw: FactorSpec) -> FactorSpec:
@@ -194,11 +188,11 @@ def normalize_problem(spec: ProblemSpec) -> NormalizedProblem:
     """Validate and canonicalize a problem.
 
     Drops factors equal to C (one atom of mass 1), sorts atoms by descending
-    mass (ties by label) and factors by their mass signature, and tags the
-    special cases the structure engine refuses: fewer than two effective
-    factors, and the pure two-projection case (exactly two factors, each two
-    atoms with no diffuse part).  Repeated factor names are refused: reports
-    key each tuple's choices by factor name.
+    mass (ties by label) and factors by their mass signature, and checks the
+    tail's bounds.  Repeated factor names are refused: reports key each
+    tuple's choices by factor name.  Problems that are valid but that the
+    structure engine refuses (too few factors, the two-projection case) pass
+    through; :func:`freeprod.engine.decompose` refuses them.
     """
     validated = [validate_factor(f) for f in spec.factors]
     names = [f.name for f in validated]
@@ -206,32 +200,17 @@ def normalize_problem(spec: ProblemSpec) -> NormalizedProblem:
         dup = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateLabel(f"duplicate factor names {dup}")
     effective = [_canonical_factor(f) for f in validated if not f.is_one_dimensional]
-    elided = tuple(f.name for f in validated if f.is_one_dimensional)
     effective.sort(key=_factor_sort_key)
 
     tail = spec.tail
-    special = None
-    if tail is None:
-        if len(effective) < 2:
-            special = DEGENERATE
-        elif (
-            len(effective) == 2
-            and all(len(f.atoms) == 2 and f.diffuse_mass == 0 for f in effective)
-        ):
-            special = TWO_PROJECTION_CASE
-    else:
+    if tail is not None:
         for d in tail.explicit_deficits:
             if d < 0:
                 raise ValidationError("tail deficits must be nonnegative")
         if tail.remainder_sum_lower_bound is not None and tail.remainder_sum_lower_bound < 0:
             raise ValidationError("tail remainder bound must be nonnegative")
 
-    return NormalizedProblem(
-        factors=tuple(effective),
-        tail=tail,
-        special_case=special,
-        elided=elided,
-    )
+    return NormalizedProblem(factors=tuple(effective), tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +297,3 @@ def load_json(path: str):
 
 def load_problem(path: str) -> ProblemSpec:
     return problem_from_json(load_json(path))
-
-
-def factor_to_json(factor: FactorSpec) -> dict:
-    return {
-        "name": factor.name,
-        "atoms": [
-            {"label": a.label, "mass": format_rational(a.mass), "isolated": a.isolated}
-            for a in factor.atoms
-        ],
-        "diffuse_mass": format_rational(factor.diffuse_mass),
-        "diffuse_state_is_trace": factor.diffuse_state_is_trace,
-    }
-
-
-def problem_to_json(spec: ProblemSpec) -> dict:
-    out: dict = {"factors": [factor_to_json(f) for f in spec.factors]}
-    if spec.tail is not None:
-        bound = spec.tail.remainder_sum_lower_bound
-        out["tail"] = {
-            "explicit_deficits": [format_rational(d) for d in spec.tail.explicit_deficits],
-            "remainder_sum_lower_bound": "inf" if bound is None else format_rational(bound),
-        }
-    return out

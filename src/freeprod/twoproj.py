@@ -7,14 +7,17 @@ square-root vanishing at both edges:
     a, b    = alpha + beta - 2*alpha*beta -+ 2*sqrt(alpha*beta*(1-alpha)*(1-beta))
     density = sqrt((b - t)(t - a)) / (2*pi*t*(1-t))
 
-The identities a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2 give
-a = 0 iff alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact
-rationals, never on floats), give a as (alpha-beta)^2 / b without the
-cancellation of the difference form when alpha ~ beta, and make the law's
-moments and distribution function closed forms (:func:`law_moment`,
-:func:`law_cdf`).  The endpoints and the 1/(2 pi) normalization are
-candidates, certified against the exact moment oracle in :mod:`freeprod.nc`
-by :func:`certify_law` and the tests.
+The centre alpha + beta - 2*alpha*beta and the radicand under the square
+root are computed on exact rationals and rounded once, so b keeps full
+relative accuracy even when alpha and beta are both near 1.  The identities
+a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2 give a = 0 iff
+alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact rationals,
+never on floats), give a as (alpha-beta)^2 / b without the cancellation of
+the difference form when alpha ~ beta, and make the law's moments and
+distribution function closed forms (:func:`law_moment`, :func:`law_cdf`).
+The endpoints and the 1/(2 pi) normalization are candidates, certified
+against the exact moment oracle in :mod:`freeprod.nc` by :func:`certify_law`
+and the tests.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ class TwoProjectionLaw:
 def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     """Spectral law of pqp for free projections of traces alpha and beta."""
     alpha, beta = check_unit_interval(alpha, beta)
-    af, bf = float(alpha), float(beta)
-    center = af + bf - 2.0 * af * bf
-    half = 2.0 * math.sqrt(af * bf * (1.0 - af) * (1.0 - bf))
+    # centre and radicand from the exact rationals: in floats the centre
+    # cancels when alpha and beta are both near 1
+    center = float(alpha + beta - 2 * alpha * beta)
+    half = 2.0 * math.sqrt(float(alpha * beta * (1 - alpha) * (1 - beta)))
     b = 1.0 if alpha + beta == 1 else center + half
     # a*b = (alpha-beta)^2 exactly; center - half cancels when alpha ~ beta
     a = 0.0 if alpha == beta else float((alpha - beta) ** 2) / b

@@ -403,6 +403,21 @@ def test_moments_past_the_integer_digit_limit_is_one_error_line(alpha, extra):
     assert len(lines) == 1 and lines[0].startswith("error: moments to n=")
 
 
+@pytest.mark.parametrize("argv", [
+    ["two-proj", "--alpha", "1e-5000", "--beta", "1/3"],
+    ["moments", "--alpha", "1e-5000", "--beta", "1/3", "--max-n", "0"],
+], ids=["two-proj", "moments"])
+def test_number_past_the_integer_digit_limit_is_a_usage_error(argv):
+    # Fraction("1e-5000") builds 10**5000 without converting a string, so
+    # only printing it would hit the limit; it is refused at parse time.
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, *argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cannot parse '1e-5000' as a number" in proc.stderr.splitlines()[-1]
+
+
 def test_deep_problem_analyzes_without_recursion(problem_file):
     deep = {"factors": [
         {"name": f"F{i}", "atoms": [{"label": "a", "mass": "999999/1000000"},

@@ -98,6 +98,39 @@ def test_degenerate():
         decompose(make_problem(make_factor("A", ["3/5", "2/5"])))
 
 
+_TWO_POINT = (make_factor("A", ["1/2", "1/2"]), make_factor("B", ["7/10", "3/10"]))
+_TRIVIAL = make_factor("C", ["1"])
+_REFUSAL_SHAPES = {
+    "two-projection": (_TWO_POINT, RefusedTwoProjectionCase),
+    "two-projection-plus-elided-C": (_TWO_POINT + (_TRIVIAL,), RefusedTwoProjectionCase),
+    "two-atoms-with-diffuse": (
+        (make_factor("A", ["1/4", "1/4"], diffuse="1/2"), _TWO_POINT[1]), None,
+    ),
+    "three-atoms-against-two": (
+        (make_factor("A", ["3/5", "3/10", "1/10"]), _TWO_POINT[1]), None,
+    ),
+    "three-two-atom-factors": (
+        _TWO_POINT + (make_factor("C", ["3/5", "2/5"]),), None,
+    ),
+    "single-effective-factor": ((_TWO_POINT[1], _TRIVIAL), DegenerateProblem),
+}
+
+
+@pytest.mark.parametrize("with_tail", [False, True], ids=["finite", "tail"])
+@pytest.mark.parametrize("shape", list(_REFUSAL_SHAPES))
+def test_refusal_boundary(shape, with_tail):
+    # decompose alone decides the refusals; a tail problem is never refused
+    factors, refusal = _REFUSAL_SHAPES[shape]
+    tail = TailSpec((F(1, 4),), None) if with_tail else None
+    problem = make_problem(*factors, tail=tail)
+    if refusal is None or with_tail:
+        report = decompose(problem)
+        assert report.infinite == with_tail
+    else:
+        with pytest.raises(refusal):
+            decompose(problem)
+
+
 def test_elision_invariance(worked_problem):
     a = make_factor("A", ["3/5", "3/10", "1/10"], labels=["p1", "p2", "p3"])
     b = make_factor("B", ["2/5", "3/5"], labels=["q1", "q2"])

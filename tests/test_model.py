@@ -2,22 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from freeprod.engine import decompose
 from freeprod.errors import (
+    DegenerateProblem,
     DuplicateLabel,
     MassMismatch,
     NonPositiveMass,
     ValidationError,
 )
 from freeprod.model import (
-    DEGENERATE,
-    TWO_PROJECTION_CASE,
     ProblemSpec,
     TailSpec,
     format_rational,
     normalize_problem,
     parse_rational,
     problem_from_json,
-    problem_to_json,
     validate_factor,
 )
 
@@ -70,23 +69,15 @@ def test_one_dimensional_factor_elided():
     c = make_factor("C", ["1"])
     a = make_factor("A", ["3/5", "2/5"])
     p = normalize_problem(ProblemSpec((c, a)))
-    assert p.special_case == DEGENERATE
-    assert p.elided == ("C",)
-    assert p.n_factors == 1
-
-
-def test_two_projection_case_tag():
-    a = make_factor("A", ["1/2", "1/2"])
-    b = make_factor("B", ["7/10", "3/10"])
-    p = normalize_problem(ProblemSpec((a, b)))
-    assert p.special_case == TWO_PROJECTION_CASE
+    assert tuple(f.name for f in p.factors) == ("A",)
+    with pytest.raises(DegenerateProblem):
+        decompose(p)
 
 
 def test_standard_case_sorted_descending():
     a = make_factor("A", ["1/10", "3/5", "3/10"], labels=["x", "y", "z"])
     b = make_factor("B", ["3/5", "2/5"])
     p = normalize_problem(ProblemSpec((a, b)))
-    assert p.special_case is None
     for f in p.factors:
         masses = [atom.mass for atom in f.atoms]
         assert masses == sorted(masses, reverse=True)
@@ -113,24 +104,41 @@ def test_format_rational():
 
 
 def test_json_round_trip():
-    spec = ProblemSpec(
+    obj = {
+        "factors": [
+            {"name": "A",
+             "atoms": [{"label": "a1", "mass": "1/2", "isolated": False}],
+             "diffuse_mass": "1/2",
+             "diffuse_state_is_trace": False},
+            {"name": "B",
+             "atoms": [{"label": "b1", "mass": "2/5", "isolated": True},
+                       {"label": "b2", "mass": "3/5"}]},
+        ],
+        "tail": {"explicit_deficits": ["1/16"], "remainder_sum_lower_bound": "1/32"},
+    }
+    assert problem_from_json(obj) == ProblemSpec(
         (
-            make_factor("A", ["1/2"], diffuse="1/2", trace=False),
+            make_factor("A", ["1/2"], isolated=[False], diffuse="1/2", trace=False),
             make_factor("B", ["2/5", "3/5"]),
         ),
         tail=TailSpec((Fraction(1, 16),), Fraction(1, 32)),
     )
-    assert problem_from_json(problem_to_json(spec)) == spec
 
 
 def test_tail_inf_round_trip():
-    spec = ProblemSpec(
+    obj = {
+        "factors": [
+            {"name": "A", "atoms": [{"label": "a1", "mass": "1/2"},
+                                    {"label": "a2", "mass": "1/2"}]},
+            {"name": "B", "atoms": [{"label": "b1", "mass": "1/2"},
+                                    {"label": "b2", "mass": "1/2"}]},
+        ],
+        "tail": {"explicit_deficits": ["1/4"], "remainder_sum_lower_bound": "inf"},
+    }
+    assert problem_from_json(obj) == ProblemSpec(
         (make_factor("A", ["1/2", "1/2"]), make_factor("B", ["1/2", "1/2"])),
         tail=TailSpec((Fraction(1, 4),), None),
     )
-    obj = problem_to_json(spec)
-    assert obj["tail"]["remainder_sum_lower_bound"] == "inf"
-    assert problem_from_json(obj) == spec
 
 
 def test_pure_diffuse_factor_legal():

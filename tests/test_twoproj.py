@@ -138,9 +138,11 @@ def test_cdf_matches_high_precision_integral(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", [
     (F(21, 43), F(459, 940)), (F(1, 1000), F(1, 999)), (F(3, 1000), F(1, 333)),
     (F(3, 1000), F(2, 667)), (F(120, 331), F(37, 58)), (F(7, 10), F(3, 5)),
+    (F(999, 1000), F(997, 1000)), (F(99, 100), F(49, 50)),
 ], ids=str)
 def test_support_matches_high_precision(alpha, beta):
-    # a = (alpha-beta)^2 / b keeps full relative accuracy when alpha ~ beta.
+    # a = (alpha-beta)^2 / b keeps full relative accuracy when alpha ~ beta,
+    # and the exact centre keeps b accurate when both are near 1.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         x = mp.mpf(alpha.numerator) / alpha.denominator
