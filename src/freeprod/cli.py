@@ -209,7 +209,12 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from .rmt import eigenvalue_csv_rows, verify_two_projection_law
+    try:
+        from .rmt import eigenvalue_csv_rows, verify_two_projection_law
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise FreeprodError("mc needs numpy, which is not installed") from None
 
     report = verify_two_projection_law(
         args.alpha, args.beta, args.dim, args.seed, args.trials

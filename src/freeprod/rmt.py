@@ -5,11 +5,27 @@ eigenvalue distribution of P Q P at large dimension must match the analytic
 law: same atoms (by exact rank counting), Kolmogorov-Smirnov agreement of
 the continuous part, and matching low moments.
 
-With Q = U diag(1^rq, 0) U* for a Haar unitary U, the spectrum of P Q P
-depends only on the top rp x rq corner of U (Collins 2005, PTRF 133), so
-each trial QR-factors just the first rq columns of a complex Ginibre matrix
-and takes the squared singular values of that frame's top rp rows; the
-dense unitary is never formed.
+The spectrum of P Q P depends only on the principal angles between the two
+ranges (Collins 2005, PTRF 133), and the ranks fix all but
+n = min(rp, rq, dim - rp, dim - rq) of them.  With p = min(rp, rq) and
+q = max(rp, rq) (swapping the ranks leaves the law unchanged by Haar
+invariance), each trial draws one complex Ginibre block and takes its thin
+QR frame, a Haar-random subspace against the fixed coordinate range of the
+other projection:
+
+* p + q <= dim: a dim x p frame of the smaller range; sin(theta) are the
+  singular values of its rows below q.
+* p + q > dim: a dim x (dim - q) frame of the complement of the larger
+  range; sin(theta) are the singular values of its top p rows, and the
+  other p + q - dim angles are exactly 0.
+
+The other p eigenvalues are cos^2(theta) = 1 - sin^2(theta).  A zero
+angle, forced by the ranks or with a computed sin(theta) below dim * eps, is
+written as exactly 1.0 and is the atom at 1; every other eigenvalue stays
+below 1.0, so the atom count needs no cutoff on the eigenvalues.  The
+dim - p null directions are exact zeros.  One trial costs 2 * dim * n
+normals, the QR of a dim x n block and the SVD of a block with n columns or
+n rows.
 
 PRNG: numpy's PCG64 seeded through SeedSequence; per-trial streams are
 derived with SeedSequence(seed).spawn(trials), so runs are reproducible
@@ -30,9 +46,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .twoproj import TwoProjectionLaw, law_cdf, law_moment, two_projection_law
-
-#: Eigenvalues above this are counted as the atom at 1.
-ATOM_ONE_CUTOFF = 1.0 - 1e-8
 
 KS_THRESHOLD = 0.05
 MOMENT_ORDERS = (1, 2, 3, 4)
@@ -93,23 +106,19 @@ def _ranks(alpha: Fraction, beta: Fraction, dim: int) -> tuple[int, int]:
 
 
 def _spectrum(rp: int, rq: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    # U's first rq columns are this QR frame up to column phases, which the
-    # Gram matrix of its top rp rows (P Q P) does not see.
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    frame = np.linalg.qr(z[:, :rq])[0]
-    sv = np.linalg.svd(frame[:rp], compute_uv=False)
+    p, q = min(rp, rq), max(rp, rq)
+    inside = p + q <= dim
+    n = p if inside else dim - q
+    z = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
+    frame = np.linalg.qr(z)[0]
+    sin = np.linalg.svd(frame[q:] if inside else frame[:p], compute_uv=False)
+    # descending, so the angles counted as zero come last
+    cont = sin[sin >= dim * np.finfo(float).eps]
     out = np.zeros(dim)
-    out[dim - len(sv):] = sv[::-1] ** 2
+    # a continuous eigenvalue that rounds to 1 is kept below the atom
+    out[dim - p : dim - p + len(cont)] = np.clip(1.0 - cont**2, 0.0, np.nextafter(1.0, 0.0))
+    out[dim - p + len(cont) :] = 1.0
     return out
-
-
-def sample_pqp_spectrum(
-    alpha: Fraction, beta: Fraction, dim: int, seed: int
-) -> np.ndarray:
-    """Eigenvalues (sorted ascending) of P Q P for one Haar rotation."""
-    rp, rq = _ranks(alpha, beta, dim)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _spectrum(rp, rq, dim, rng)
 
 
 def ks_statistic(eigenvalues: np.ndarray, law: TwoProjectionLaw) -> float:
@@ -117,12 +126,10 @@ def ks_statistic(eigenvalues: np.ndarray, law: TwoProjectionLaw) -> float:
 
     The law's atoms contribute jumps at 0 and 1, so the comparison uses both
     the right value and the left limit of the law at every sample point.
+    Samples equal to exactly 0.0 or 1.0 are the atoms (the sampler writes
+    them so); a continuous sample near 0 or 1 stays where it is.
     """
     x = np.asarray(eigenvalues, dtype=float)
-    # Snap numerically-resolved atoms onto their exact locations so the
-    # empirical jumps line up with the law's jumps at 0 and 1.
-    x = np.where(x > ATOM_ONE_CUTOFF, 1.0, x)
-    x = np.where(np.abs(x) < 1.0 - ATOM_ONE_CUTOFF, 0.0, x)
     n = len(x)
     vals, counts = np.unique(x, return_counts=True)
     cum = np.cumsum(counts)
@@ -167,8 +174,9 @@ def verify_two_projection_law(
 ) -> MCReport:
     """Pool eigenvalues over trials and test them against the analytic law.
 
-    Pass requires KS <= 0.05, the atom-at-1 eigenvalue count matching the
-    rank identity max(rank P + rank Q - dim, 0) exactly in every trial, and
+    Pass requires KS <= 0.05, the atom-at-1 count (the eigenvalues equal to
+    1.0, one per zero principal angle) matching the rank identity
+    max(rank P + rank Q - dim, 0) exactly in every trial, and
     the first four empirical moments within 5 / sqrt(dim) of the law's.
     A wrong law (negative control) must fail at least one of these.
     """
@@ -180,7 +188,7 @@ def verify_two_projection_law(
         law = two_projection_law(alpha, beta)
     spectra = trial_spectra(alpha, beta, dim, seed, trials)
     expected_per_trial = max(rp + rq - dim, 0)
-    trial_counts = tuple(int(np.sum(s > ATOM_ONE_CUTOFF)) for s in spectra)
+    trial_counts = tuple(int(np.count_nonzero(s == 1.0)) for s in spectra)
     pooled = np.sort(np.concatenate(spectra))
     ks = ks_statistic(pooled, law)
 

@@ -56,16 +56,30 @@ class TwoProjectionLaw:
         return ONE - self.atom_at_zero - self.atom_at_one
 
 
+def _scaled_float(x: Fraction, shift: int) -> float:
+    """x * 2**shift, rounded once (shift >= 0)."""
+    return (x.numerator << shift) / x.denominator
+
+
 def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     """Spectral law of pqp for free projections of traces alpha and beta."""
     alpha, beta = check_unit_interval(alpha, beta)
     # centre and radicand from the exact rationals: in floats the centre
-    # cancels when alpha and beta are both near 1
-    center = float(alpha + beta - 2 * alpha * beta)
-    half = 2.0 * math.sqrt(float(alpha * beta * (1 - alpha) * (1 - beta)))
-    b = 1.0 if alpha + beta == 1 else center + half
+    # cancels when alpha and beta are both near 1.  They are scaled by 4**s
+    # and 16**s, which bring the centre near 1, and b and a are scaled back
+    # once at the end, so nothing underflows on the way when alpha and beta
+    # are both near 0 or both near 1; a power of 2 changes no other rounding.
+    center = alpha + beta - 2 * alpha * beta
+    s = (center.denominator.bit_length() - center.numerator.bit_length()) // 2
+    if alpha + beta == 1:
+        scaled_b = math.ldexp(1.0, 2 * s)
+    else:
+        radicand = alpha * beta * (1 - alpha) * (1 - beta)
+        scaled_b = _scaled_float(center, 2 * s) + 2.0 * math.sqrt(_scaled_float(radicand, 4 * s))
+    b = math.ldexp(scaled_b, -2 * s)
     # a*b = (alpha-beta)^2 exactly; center - half cancels when alpha ~ beta
-    a = 0.0 if alpha == beta else float((alpha - beta) ** 2) / b
+    a = 0.0 if alpha == beta else math.ldexp(
+        _scaled_float((alpha - beta) ** 2, 4 * s) / scaled_b, -2 * s)
     return TwoProjectionLaw(
         alpha=alpha,
         beta=beta,

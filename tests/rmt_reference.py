@@ -1,13 +1,19 @@
 """Loop and dense references for the Monte Carlo check.
 
-The package samples each trial from a thin QR frame of the first rq Ginibre
-columns.  This module keeps the construction it replaced: a full Haar
-unitary (QR of a complex Ginibre matrix with the R-diagonal phases divided
-out) and the eigenvalues of the rp x rp block of U diag(1^rq, 0) U*.  Given
-identically seeded generators, both consume the same random draws, so the
-tests compare them value by value.  It also keeps a per-point law CDF that
-integrates the density by quadrature, independent of the package's closed
-form, and the per-value KS loop that the array KS replaced.
+The package samples each trial from one thin QR frame: of the smaller
+range when rank P + rank Q <= dim, else of the complement of the larger
+range, and reads sin(theta) of the principal angles off one block of it.
+:func:`reference_spectrum` builds the two dense dim x dim projections from
+the same Ginibre draws and frame and takes ``eigvalsh(P Q P)``, so given
+identically seeded generators the tests compare the two value by value;
+the dense eigenvalues are counted as the atom at 1 above
+:data:`DENSE_ATOM_CUTOFF`, the rule the package used before it counted zero
+angles.  :func:`haar_spectrum` keeps the textbook construction, P fixed and
+Q = U diag(1^rq, 0) U* for a full Haar unitary U, which draws differently
+and is compared with the sampler in distribution.  This module also keeps
+a per-point law CDF that integrates the density by quadrature, independent
+of the package's closed form, and the per-value KS loop that the array KS
+replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import math
 
 import numpy as np
 
-from freeprod.rmt import ATOM_ONE_CUTOFF
+#: Dense eigenvalues above this are counted as the atom at 1.
+DENSE_ATOM_CUTOFF = 1.0 - 1e-8
 
 #: Gauss-Legendre rule on [-1, 1] for the reference CDF.
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(200)
@@ -35,9 +42,33 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def reference_spectrum(rp: int, rq: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """eigvalsh(P Q P), sorted, for dense projections of ranks rp and rq
+    built from the package sampler's Ginibre draws and thin QR frame."""
+    p, q = min(rp, rq), max(rp, rq)
+    inside = p + q <= dim
+    n = p if inside else dim - q
+    z = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
+    frame = np.linalg.qr(z)[0]
+    spanned = frame @ frame.conj().T
+    if inside:
+        # the frame spans the smaller range, the larger is the first q axes
+        small, large = spanned, np.diag((np.arange(dim) < q).astype(float))
+    else:
+        # the frame spans the complement of the larger range, the smaller
+        # range is the first p axes
+        small, large = np.diag((np.arange(dim) < p).astype(float)), np.eye(dim) - spanned
+    p_mat, q_mat = (small, large) if rp <= rq else (large, small)
+    m = p_mat @ q_mat @ p_mat
+    m = 0.5 * (m + m.conj().T)  # kill numerical drift; PSD by construction
+    return np.linalg.eigvalsh(m)
+
+
+def haar_spectrum(rp: int, rq: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted spectrum of P Q P with P = diag(1^rp, 0) and
+    Q = U diag(1^rq, 0) U* for a full Haar unitary U."""
     u = haar_unitary(dim, rng)
-    # Q = U diag(1^rq, 0) U*; P Q P restricted rows/cols is the top-left
-    # rp x rp block of Q, padded with dim - rp exact zeros.
+    # P Q P restricted rows/cols is the top-left rp x rp block of Q, padded
+    # with dim - rp exact zeros.
     block = u[:rp, :rq]
     m = block @ block.conj().T
     m = 0.5 * (m + m.conj().T)  # kill numerical drift; PSD by construction
@@ -77,10 +108,9 @@ def reference_law_cdf(law, x: float) -> float:
 
 
 def reference_ks_statistic(eigenvalues, law) -> float:
-    """KS distance, one law CDF evaluation per distinct sample value."""
+    """KS distance, one law CDF evaluation per distinct sample value; the
+    atoms are the samples equal to exactly 0.0 and 1.0."""
     x = np.asarray(eigenvalues, dtype=float)
-    x = np.where(x > ATOM_ONE_CUTOFF, 1.0, x)
-    x = np.where(np.abs(x) < 1.0 - ATOM_ONE_CUTOFF, 0.0, x)
     n = len(x)
     vals, counts = np.unique(x, return_counts=True)
     cum = np.cumsum(counts)

@@ -234,6 +234,20 @@ def test_mc_exit_codes(capsys):
     assert run(["mc", "--alpha", "1/2", "--beta", "1/2", "--dim", "8"]) == 1
 
 
+def test_mc_pinch_counts_no_continuous_eigenvalue_as_the_atom(capsys):
+    # alpha + beta = 1.  With the draws of the dim x dim sampler this seed
+    # put one trial's top continuous eigenvalue within 1e-8 of 1 (sin theta
+    # = 6.9e-5), and a cutoff on the eigenvalue counted it as an atom; see
+    # test_rmt.py for such an eigenvalue with the current draws.
+    assert run([
+        "mc", "--alpha", "207/634", "--beta", "427/634", "--dim", "512",
+        "--trials", "4", "--seed", "730169922",
+    ]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["trial_atom_one_counts"] == [0, 0, 0, 0]
+    assert obj["pass"] is True
+
+
 def test_mc_eig_csv(tmp_path, capsys):
     csv = tmp_path / "eigs.csv"
     assert run([
@@ -366,13 +380,24 @@ print("numpy not loaded")
     assert proc.stdout.endswith("numpy not loaded\n")
 
 
+def test_mc_without_numpy_is_one_error_line():
+    # None in sys.modules makes `import numpy` fail as on a bare install
+    code = ("import sys\nsys.modules['numpy'] = None\nfrom freeprod.cli import main\n"
+            "sys.argv[0] = 'freeprod'\nmain()")
+    proc = _run_python(code, "mc", "--alpha", "7/10", "--beta", "3/5")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: mc needs numpy, which is not installed\n"
+
+
 def test_unallocatable_mc_dim_is_one_error_line():
     import resource
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    # The two dim x dim Ginibre draws need 7.28 TiB each.
+    # The two dim x 333333 Ginibre draws need 2.43 TiB each.
     code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
     proc = subprocess.run(
         [sys.executable, "-c", code, "mc", "--alpha", "1/2", "--beta", "1/3",
@@ -401,6 +426,26 @@ def test_moments_past_the_integer_digit_limit_is_one_error_line(alpha, extra):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: moments to n=")
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ("1/1" + "0" * 400, "1/3" + "0" * 400),
+    (str(1 - Fraction(1, 10**400)), str(1 - Fraction(3, 10**400))),
+], ids=["near-0", "near-1"])
+def test_law_whose_support_underflows_is_answered(alpha, beta):
+    # the endpoints, about 5.4e-401 and 7.5e-400, round to 0.0; b used to
+    # round to 0 first and a = (alpha - beta)^2 / b divided by it
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, "two-proj", "--alpha", alpha, "--beta", beta, "--format", "json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["support"] == [0.0, 0.0]
+    proc = _run_python(code, "moments", "--alpha", alpha, "--beta", beta,
+                       "--max-n", "1", "--compare-law", "--format", "json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["moments"]
+    assert all(row["abs_error"] <= 1e-15 for row in rows)
 
 
 @pytest.mark.parametrize("argv", [

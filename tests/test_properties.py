@@ -263,8 +263,8 @@ def test_catalan_count_of_enumeration():
 def test_mc_seed_determinism(seed, dim):
     import numpy as np
 
-    from freeprod.rmt import sample_pqp_spectrum
+    from freeprod.rmt import trial_spectra
 
-    a = sample_pqp_spectrum(F(1, 2), F(1, 2), dim, seed)
-    b = sample_pqp_spectrum(F(1, 2), F(1, 2), dim, seed)
+    (a,) = trial_spectra(F(1, 2), F(1, 2), dim, seed, trials=1)
+    (b,) = trial_spectra(F(1, 2), F(1, 2), dim, seed, trials=1)
     assert np.array_equal(a, b)

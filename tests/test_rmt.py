@@ -5,18 +5,19 @@ import pytest
 
 from freeprod.errors import DimensionError
 from freeprod.rmt import (
-    ATOM_ONE_CUTOFF,
+    KS_THRESHOLD,
     MOMENT_ORDERS,
     _spectrum,
     eigenvalue_csv_rows,
     ks_statistic,
     round_half_up,
-    sample_pqp_spectrum,
     trial_spectra,
     verify_two_projection_law,
 )
 from freeprod.twoproj import two_projection_law
 from rmt_reference import (
+    DENSE_ATOM_CUTOFF,
+    haar_spectrum,
     haar_unitary,
     reference_ks_statistic,
     reference_law_cdf,
@@ -56,13 +57,45 @@ def test_spectrum_matches_dense_reference(alpha, beta, dim):
         assert fast.shape == dense.shape == (dim,)
         assert np.all(np.diff(fast) >= 0.0)
         assert np.max(np.abs(fast - dense)) <= 1e-12
-        assert np.sum(fast > ATOM_ONE_CUTOFF) == np.sum(dense > ATOM_ONE_CUTOFF)
+        # the atom at 1 is the exact 1.0 entries, one per zero angle; the
+        # dense count misfiles a continuous eigenvalue near 1 at a pinch
+        atoms = np.sum(fast == 1.0)
+        assert atoms == max(rp + rq - dim, 0)
+        if alpha + beta != 1:
+            assert atoms == np.sum(dense > DENSE_ATOM_CUTOFF)
         # the dim - min(rp, rq) null directions are exact zeros
         assert np.all(fast[: dim - min(rp, rq)] == 0.0)
 
 
+class _Draws:
+    """Stands in for a Generator: hands out the given normal draws in order."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+def test_zero_angle_cutoff_and_eigenvalues_that_round_to_one():
+    # rp = rq = 8 = dim / 2: the frame spans a range of rank 8; with draws
+    # [I; diag(d)] its rows below 8 are diag(d / sqrt(1 + d^2)) = sin(theta)
+    dim = 16
+    d = np.array([1e-16, 1e-10, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
+    eigs = _spectrum(8, 8, dim, _Draws(np.vstack([np.eye(8), np.diag(d)]), np.zeros((dim, 8))))
+    assert np.all(eigs[:8] == 0.0)
+    # sin(theta) = 1e-16 is below dim * eps: a zero angle, the atom
+    assert eigs[-1] == 1.0
+    # sin(theta) = 1e-10 is a continuous angle; 1 - 1e-20 rounds to 1 and is
+    # kept just below it
+    assert eigs[-2] == np.nextafter(1.0, 0.0)
+    assert np.max(np.abs(eigs[8:-2] - np.sort(1.0 / (1.0 + d[2:] ** 2)))) <= 1e-15
+
+
 def test_spectrum_range_and_rank_identity():
-    eigs = sample_pqp_spectrum(F(7, 10), F(3, 5), 512, seed=3)
+    (eigs,) = trial_spectra(F(7, 10), F(3, 5), 512, seed=3, trials=1)
     assert len(eigs) == 512
     assert eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10
     # rank identity: dim(P wedge Q) = rank P + rank Q - dim when positive
@@ -73,11 +106,71 @@ def test_spectrum_range_and_rank_identity():
 
 
 def test_determinism():
-    a = sample_pqp_spectrum(F(1, 2), F(1, 2), 64, seed=11)
-    b = sample_pqp_spectrum(F(1, 2), F(1, 2), 64, seed=11)
+    (a,) = trial_spectra(F(1, 2), F(1, 2), 64, seed=11, trials=1)
+    (b,) = trial_spectra(F(1, 2), F(1, 2), 64, seed=11, trials=1)
     assert np.array_equal(a, b)
-    c = sample_pqp_spectrum(F(1, 2), F(1, 2), 64, seed=12)
+    (c,) = trial_spectra(F(1, 2), F(1, 2), 64, seed=12, trials=1)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(1, 3), F(2, 3)), (F(207, 634), F(427, 634)), (F(1, 2), F(1, 2)),
+])
+@pytest.mark.parametrize("dim", [16, 17, 32, 64])
+def test_pinch_atom_counts_follow_the_rank_identity(alpha, beta, dim):
+    # at alpha + beta = 1 the density grows like 1/sqrt(1 - t) at t = 1, so
+    # continuous eigenvalues crowd the atom; each trial must still count
+    # exactly the zero angles the ranks force
+    rp, rq = round_half_up(alpha * dim), round_half_up(beta * dim)
+    for seed in range(25):
+        for eigs in trial_spectra(alpha, beta, dim, seed, trials=4):
+            assert np.sum(eigs == 1.0) == max(rp + rq - dim, 0)
+            assert np.all(eigs[eigs != 1.0] < 1.0)
+
+
+def test_continuous_eigenvalue_within_1e8_of_one_is_not_the_atom():
+    # seed 469: one trial's top continuous eigenvalue is 1 - 7.7e-9, which
+    # the old eigenvalue cutoff 1 - 1e-8 would have counted as an atom
+    report = verify_two_projection_law(F(207, 634), F(427, 634), dim=512, seed=469, trials=4)
+    top = max(s[s < 1.0].max() for s in report.spectra)
+    assert 1.0 - 1e-8 < top < 1.0
+    assert report.trial_atom_one_counts == (0, 0, 0, 0)
+    assert report.passed
+
+
+@pytest.mark.parametrize("alpha, beta", [(F(3, 10), F(3, 5)), (F(7, 10), F(3, 5))],
+                         ids=["frame-of-smaller-range", "frame-of-complement"])
+def test_each_branch_follows_the_law(alpha, beta):
+    law = two_projection_law(alpha, beta)
+    pooled = np.sort(np.concatenate(trial_spectra(alpha, beta, 256, seed=2, trials=8)))
+    assert ks_statistic(pooled, law) <= 0.01
+    # the same draws with the branch's Jacobi parameters a = q - p and
+    # b = dim - p - q swapped: cos^2 in place of 1 - sin^2, the continuous
+    # part reflected about 1/2; the gate must reject it
+    continuous = (pooled > 0.0) & (pooled < 1.0)
+    swapped = np.where(continuous, 1.0 - pooled, pooled)
+    assert ks_statistic(swapped, law) > KS_THRESHOLD
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(3, 10), F(3, 5)), (F(7, 10), F(3, 5)), (F(1, 3), F(2, 3)),
+])
+def test_sampler_matches_full_haar_construction_in_distribution(alpha, beta):
+    dim, trials = 128, 8
+    rp, rq = round_half_up(alpha * dim), round_half_up(beta * dim)
+    fast = np.concatenate(trial_spectra(alpha, beta, dim, seed=0, trials=trials))
+    full = np.concatenate([
+        haar_spectrum(rp, rq, dim, np.random.default_rng(seq))
+        for seq in np.random.SeedSequence(1).spawn(trials)
+    ])
+    x = np.sort(fast[(fast > 0.0) & (fast < 1.0)])
+    y = np.sort(full[(full > 1.0 - DENSE_ATOM_CUTOFF) & (full < DENSE_ATOM_CUTOFF)])
+    assert len(x) == len(y) == trials * min(rp, rq, dim - rp, dim - rq)
+    both = np.concatenate([x, y])
+    d = np.max(np.abs(np.searchsorted(x, both, side="right") / len(x)
+                      - np.searchsorted(y, both, side="right") / len(y)))
+    # two-sample KS critical value at the 1% level
+    assert d < 1.63 * np.sqrt((len(x) + len(y)) / (len(x) * len(y)))
 
 
 def test_trial_spectra_thread_count_invariance(monkeypatch):
@@ -121,7 +214,7 @@ def test_array_cdf_and_ks_match_loop_reference(alpha, beta):
     law = two_projection_law(alpha, beta)
     a, b = law.support_a, law.support_b
     points = np.concatenate([
-        [-1.0, -1e-9, 0.0, a, b, 1.0, 2.0],
+        [-1.0, -1e-9, 0.0, 1e-9, a, b, 1.0 - 1e-9, 1.0, 2.0],
         np.linspace(a, b, 43), np.nextafter(np.linspace(a, b, 47), -np.inf),
         np.linspace(0.0, 1.0, 257),
     ])
@@ -162,9 +255,9 @@ def test_negative_control_fails():
 
 def test_dimension_errors():
     with pytest.raises(DimensionError):
-        sample_pqp_spectrum(F(1, 2), F(1, 2), 8, seed=0)
+        trial_spectra(F(1, 2), F(1, 2), 8, seed=0, trials=1)
     with pytest.raises(DimensionError):
-        sample_pqp_spectrum(F(1, 1000), F(1, 2), 64, seed=0)
+        trial_spectra(F(1, 1000), F(1, 2), 64, seed=0, trials=1)
     with pytest.raises(DimensionError):
         verify_two_projection_law(F(1, 2), F(1, 2), dim=64, seed=0, trials=0)
 

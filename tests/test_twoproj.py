@@ -139,12 +139,19 @@ def test_cdf_matches_high_precision_integral(alpha, beta):
     (F(21, 43), F(459, 940)), (F(1, 1000), F(1, 999)), (F(3, 1000), F(1, 333)),
     (F(3, 1000), F(2, 667)), (F(120, 331), F(37, 58)), (F(7, 10), F(3, 5)),
     (F(999, 1000), F(997, 1000)), (F(99, 100), F(49, 50)),
+    # alpha*beta*(1-alpha)*(1-beta) is below the smallest float, its square
+    # root is not
+    pytest.param(F(1, 10**200), F(3, 10**200), id="1e-200"),
+    pytest.param(1 - F(1, 10**200), 1 - F(3, 10**200), id="1-1e-200"),
+    pytest.param(F(1, 10**300), F(7, 10**300), id="1e-300"),
+    pytest.param(1 - F(7, 10**300), 1 - F(1, 10**300), id="1-1e-300"),
 ], ids=str)
 def test_support_matches_high_precision(alpha, beta):
     # a = (alpha-beta)^2 / b keeps full relative accuracy when alpha ~ beta,
-    # and the exact centre keeps b accurate when both are near 1.
+    # the exact centre keeps b accurate when both are near 1, and scaling
+    # by a power of 4 keeps both when the radicand underflows.
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
+    with mp.workdps(350):
         x = mp.mpf(alpha.numerator) / alpha.denominator
         y = mp.mpf(beta.numerator) / beta.denominator
         center, half = x + y - 2 * x * y, 2 * mp.sqrt(x * y * (1 - x) * (1 - y))
