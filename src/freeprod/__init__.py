@@ -11,7 +11,6 @@ from .engine import (
     classify_atom_tuples,
     decompose,
     ideal_lattice,
-    intersect_ideals,
 )
 from .model import (
     AtomSpec,
@@ -51,7 +50,6 @@ __all__ = [
     "classify_atom_tuples",
     "decompose",
     "ideal_lattice",
-    "intersect_ideals",
     "law_density",
     "law_moment",
     "normalize_problem",

@@ -22,8 +22,10 @@ from .conjectures import (
 from .engine import decompose, report_to_json, write_ideals
 from .errors import FreeprodError, RefusedTwoProjectionCase
 from .model import (
+    exceeds_digit_limit,
     factor_from_json,
     format_rational,
+    int_digit_limit,
     json_field,
     load_json,
     load_problem,
@@ -49,13 +51,10 @@ def _analytic_fraction(s: str) -> Fraction:
         q = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse {s!r} as a number")
-    # absent before Python 3.10.7, where printing integers has no limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    big = max(abs(q.numerator), q.denominator)
-    # 10**digits has more than 3 * digits bits, so only a longer int can reach it
-    if digits and big.bit_length() > 3 * digits and big >= 10**digits:
+    if exceeds_digit_limit(max(abs(q.numerator), q.denominator)):
         raise argparse.ArgumentTypeError(
-            f"cannot parse {s!r} as a number: it has more than {digits} digits"
+            f"cannot parse {s!r} as a number: "
+            f"it has more than {int_digit_limit()} digits"
         )
     return q
 
@@ -143,10 +142,6 @@ def cmd_analyze(args) -> int:
 def cmd_two_proj(args) -> int:
     law = two_projection_law(args.alpha, args.beta)
     structure = two_projection_structure(args.alpha, args.beta)
-    if args.density_csv:
-        with open(args.density_csv, "w", encoding="utf-8") as fh:
-            for line in density_csv_rows(law):
-                fh.write(line + "\n")
     obj = {
         "alpha": format_rational(args.alpha),
         "beta": format_rational(args.beta),
@@ -161,6 +156,10 @@ def cmd_two_proj(args) -> int:
         "pinch_at_a": structure.pinch_at_a,
         "pinch_at_b": structure.pinch_at_b,
     }
+    if args.density_csv:
+        with open(args.density_csv, "w", encoding="utf-8") as fh:
+            for line in density_csv_rows(law):
+                fh.write(line + "\n")
     if args.format == "json":
         _print_json(obj)
     else:

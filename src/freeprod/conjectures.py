@@ -72,10 +72,27 @@ def matrix_block_from_json(obj: dict) -> MatrixBlockSpec:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
-    necessary_conditions_hold: bool
-    conjectured_simple: bool
+    """The violations of the strict condition decide the whole verdict.
+
+    Each violation is a (witness, lhs, rhs) with lhs >= rhs; one with
+    lhs > rhs breaks the non-strict, proved-necessary condition too.
+    """
+
     violations: tuple[tuple[tuple, Fraction, Fraction], ...]  # (witness, lhs, rhs)
-    status_label: str
+
+    @property
+    def necessary_conditions_hold(self) -> bool:
+        return all(lhs == rhs for _, lhs, rhs in self.violations)
+
+    @property
+    def conjectured_simple(self) -> bool:
+        return not self.violations
+
+    @property
+    def status_label(self) -> str:
+        if not self.necessary_conditions_hold:
+            return PROVED_NONSIMPLE
+        return BOUNDARY if self.violations else CONJECTURED_SIMPLE
 
     def to_json(self) -> dict:
         return {
@@ -93,21 +110,6 @@ class ConjectureVerdict:
         }
 
 
-def _verdict(strict_ok: bool, nonstrict_ok: bool, violations) -> ConjectureVerdict:
-    if not nonstrict_ok:
-        status = PROVED_NONSIMPLE
-    elif not strict_ok:
-        status = BOUNDARY
-    else:
-        status = CONJECTURED_SIMPLE
-    return ConjectureVerdict(
-        necessary_conditions_hold=nonstrict_ok,
-        conjectured_simple=strict_ok and nonstrict_ok,
-        violations=tuple(violations),
-        status_label=status,
-    )
-
-
 def conjecture_abelian(x: FactorSpec, y: FactorSpec) -> ConjectureVerdict:
     """Atom-pair criterion for two abelian factors.
 
@@ -117,18 +119,13 @@ def conjecture_abelian(x: FactorSpec, y: FactorSpec) -> ConjectureVerdict:
     """
     x = validate_factor(x)
     y = validate_factor(y)
-    strict_ok = True
-    nonstrict_ok = True
     violations = []
     for ax in x.atoms:
         for ay in y.atoms:
             s = ax.mass + ay.mass
             if s >= 1:
-                strict_ok = False
                 violations.append(((ax.label, ay.label), s, ONE))
-                if s > 1:
-                    nonstrict_ok = False
-    return _verdict(strict_ok, nonstrict_ok, violations)
+    return ConjectureVerdict(tuple(violations))
 
 
 def conjecture_finite_dim(a: MatrixBlockSpec, b: MatrixBlockSpec) -> ConjectureVerdict:
@@ -141,12 +138,8 @@ def conjecture_finite_dim(a: MatrixBlockSpec, b: MatrixBlockSpec) -> ConjectureV
     """
     a = a.validate()
     b = b.validate()
-    strict_ok = True
-    nonstrict_ok = True
     violations = []
-
-    def check(side: str, one_dim: MatrixBlockSpec, other: MatrixBlockSpec):
-        nonlocal strict_ok, nonstrict_ok
+    for side, one_dim, other in (("A", a, b), ("B", b, a)):
         for j, (size, weights) in enumerate(one_dim.blocks):
             if size != 1:
                 continue
@@ -154,11 +147,5 @@ def conjecture_finite_dim(a: MatrixBlockSpec, b: MatrixBlockSpec) -> ConjectureV
             for k, (_, other_weights) in enumerate(other.blocks):
                 rhs = sum((ONE / w for w in other_weights), ZERO)
                 if lhs >= rhs:
-                    strict_ok = False
                     violations.append(((side, j, k), lhs, rhs))
-                    if lhs > rhs:
-                        nonstrict_ok = False
-
-    check("A", a, b)
-    check("B", b, a)
-    return _verdict(strict_ok, nonstrict_ok, violations)
+    return ConjectureVerdict(tuple(violations))

@@ -13,7 +13,8 @@ builder serve both.  Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -23,7 +24,13 @@ from .errors import (
     RefusedTwoProjectionCase,
     TailUndecidable,
 )
-from .model import FactorSpec, NormalizedProblem, format_rational
+from .model import (
+    FactorSpec,
+    NormalizedProblem,
+    exceeds_digit_limit,
+    format_rational,
+    int_digit_limit,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,7 +55,6 @@ class AtomTuple:
 
     choices: tuple[tuple[str, str], ...]  # (factor name, atom label)
     deficit_sum: Fraction
-    all_isolated: bool = True
     tail_maximal: bool = False
 
     @property
@@ -73,25 +79,35 @@ class VerdictSet:
     stable_rank_one: str  # "true" | "not_claimed"
 
     def to_json(self) -> dict:
-        return {
-            "afr_simple": self.afr_simple,
-            "afr0_simple": self.afr0_simple,
-            "afr00_simple": self.afr00_simple,
-            "afr00_nonunital": self.afr00_nonunital,
-            "trace_exists": self.trace_exists,
-            "trace_unique": self.trace_unique,
-            "stable_rank_one": self.stable_rank_one,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class StructureReport:
+    """Summand tuples with their weights, character tuples and verdicts.
+
+    For an infinite product (``infinite``) every tuple is a character,
+    ``r0_trace`` subtracts the character weights and ``gamma0_as_printed``
+    is one minus their deficits; for a finite one ``r0_trace`` subtracts
+    the summand weights.
+    """
+
     summands: tuple[tuple[AtomTuple, Fraction], ...]
     characters: tuple[AtomTuple, ...]
-    r0_trace: Fraction
     verdicts: VerdictSet
     infinite: bool = False
-    gamma0_as_printed: Optional[Fraction] = None
+
+    @property
+    def r0_trace(self) -> Fraction:
+        if self.infinite:
+            return ONE - sum((t.gamma for t in self.characters), ZERO)
+        return ONE - sum((g for _, g in self.summands), ZERO)
+
+    @property
+    def gamma0_as_printed(self) -> Optional[Fraction]:
+        if not self.infinite:
+            return None
+        return ONE - sum((t.deficit_sum for t in self.characters), ZERO)
 
     @property
     def ideal_count(self) -> int:
@@ -111,16 +127,6 @@ class IdealDescriptor:
 
     killed_summands: frozenset[int]
     character_part: Optional[frozenset[int]]
-
-
-def intersect_ideals(d1: IdealDescriptor, d2: IdealDescriptor) -> IdealDescriptor:
-    """Lattice meet: intersect summand sets; kernel sets unite; zero absorbs."""
-    killed = d1.killed_summands & d2.killed_summands
-    if d1.character_part is None or d2.character_part is None:
-        part = None
-    else:
-        part = d1.character_part | d2.character_part
-    return IdealDescriptor(killed, part)
 
 
 def _atom_candidates(factor: FactorSpec, budget: Fraction):
@@ -192,10 +198,7 @@ def classify_atom_tuples(
     while stack:
         i, partial, choices, isolated = stack.pop()
         if i == n:
-            t = AtomTuple(
-                choices, partial, all_isolated=isolated,
-                tail_maximal=tail is not None,
-            )
+            t = AtomTuple(choices, partial, tail_maximal=tail is not None)
             if partial < 1 and isolated and tail is None:
                 summands.append(t)
             else:  # deficit == 1, a non-isolated choice, or a tail tuple
@@ -243,10 +246,7 @@ def decompose(problem: NormalizedProblem) -> StructureReport:
     DegenerateProblem; one of exactly two factors, each two atoms with no
     diffuse part, is the two-projection case and raises
     RefusedTwoProjectionCase (``two_projection_structure`` serves it).
-    Infinite problems are not refused.  For an infinite product
-    (``problem.tail`` set) every tuple is a character, ``r0_trace``
-    subtracts the character weights, and ``gamma0_as_printed`` is one minus
-    their deficits.
+    Infinite problems are not refused.
     """
     factors = problem.factors
     infinite = problem.tail is not None
@@ -264,17 +264,11 @@ def decompose(problem: NormalizedProblem) -> StructureReport:
 
     summand_tuples, character_tuples = classify_atom_tuples(problem)
     summands = tuple((t, t.gamma) for t in summand_tuples)
-    weighted = character_tuples if infinite else summand_tuples
     return StructureReport(
         summands=summands,
         characters=tuple(character_tuples),
-        r0_trace=ONE - sum((t.gamma for t in weighted), ZERO),
         verdicts=_verdicts(problem, summands, character_tuples),
         infinite=infinite,
-        gamma0_as_printed=(
-            ONE - sum((t.deficit_sum for t in character_tuples), ZERO)
-            if infinite else None
-        ),
     )
 
 
@@ -290,12 +284,22 @@ def _lattice_walk(report: StructureReport) -> tuple[
     later part is nonunital.  ``masks`` yields, per killed-summand mask in
     ascending order, the sorted killed summand indices and the unit traces
     of the two unital ideals over them (zero part, whole corner).  Above
-    MAX_IDEALS elements it raises LimitExceeded before building anything.
+    MAX_IDEALS elements, or when a unit trace might have too many digits to
+    print, it raises LimitExceeded before building anything.
     """
     if report.ideal_count > MAX_IDEALS:
         raise LimitExceeded(
             f"ideal lattice has {report.ideal_count} elements, "
             f"exceeds cap {MAX_IDEALS}"
+        )
+    r0_trace = report.r0_trace
+    gammas = [g for _, g in report.summands]
+    # every unit trace lies in [0, 1] and its denominator divides this one
+    den = math.lcm(r0_trace.denominator, *(g.denominator for g in gammas))
+    if exceeds_digit_limit(den):
+        raise LimitExceeded(
+            f"ideal unit traces have a common denominator of more than "
+            f"{int_digit_limit()} digits and are too long to print"
         )
     c = len(report.characters)
     parts: list[Optional[frozenset[int]]] = [None] + [
@@ -303,7 +307,7 @@ def _lattice_walk(report: StructureReport) -> tuple[
     ]
     # The masks come from a separate generator so that the cap above is
     # checked at this call, not at the first mask.
-    return parts, _killed_masks([g for _, g in report.summands], report.r0_trace)
+    return parts, _killed_masks(gammas, r0_trace)
 
 
 def _killed_masks(gammas: list[Fraction], r0_trace: Fraction):

@@ -10,12 +10,14 @@ this module.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
     DuplicateLabel,
+    LimitExceeded,
     MassMismatch,
     NonPositiveMass,
     ValidationError,
@@ -46,12 +48,35 @@ def parse_rational(value) -> Fraction:
     raise ValidationError(f"cannot parse rational from {type(value).__name__}")
 
 
+def int_digit_limit() -> int:
+    """The most digits the interpreter prints in an int; 0 for no limit
+    (``sys.get_int_max_str_digits`` is absent before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def exceeds_digit_limit(n: int) -> bool:
+    """True when ``n`` has more digits than the interpreter will print."""
+    digits = int_digit_limit()
+    # 10**digits has more than 3 * digits bits, so only a longer int can reach it
+    return bool(digits) and n.bit_length() > 3 * digits and abs(n) >= 10**digits
+
+
 def format_rational(q: Fraction) -> str:
-    """Serialize a rational as "num/den", or "n" for integers."""
+    """Serialize a rational as "num/den", or "n" for integers.
+
+    A numerator or denominator with more digits than the interpreter prints
+    raises LimitExceeded.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise LimitExceeded(
+            f"a result has more than {int_digit_limit()} digits and is too long "
+            "to print"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -80,11 +105,6 @@ class FactorSpec:
     atoms: tuple[AtomSpec, ...]
     diffuse_mass: Fraction = ZERO
     diffuse_state_is_trace: bool = True
-
-    @property
-    def dimension(self) -> int:
-        """Atom count plus one if a diffuse part is present."""
-        return len(self.atoms) + (1 if self.diffuse_mass > 0 else 0)
 
     @property
     def is_one_dimensional(self) -> bool:

@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .twoproj import TwoProjectionLaw, law_cdf, law_moment, two_projection_law
 
 KS_THRESHOLD = 0.05
@@ -68,7 +68,6 @@ class MCReport:
     seed: int
     trials: int
     ks_statistic: float
-    atom_one_count: int
     expected_atom_one_count: int
     trial_atom_one_counts: tuple[int, ...]
     moment_errors: tuple[float, ...]
@@ -77,6 +76,10 @@ class MCReport:
     #: The per-trial sorted spectra the verdict was computed from; kept for
     #: export, not part of the report's JSON or equality.
     spectra: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+
+    @property
+    def atom_one_count(self) -> int:
+        return sum(self.trial_atom_one_counts)
 
     def to_json(self) -> dict:
         return {
@@ -153,7 +156,13 @@ def trial_spectra(
     seed sequence, so results are independent of execution order."""
     rp, rq = _ranks(alpha, beta, dim)
     seqs = np.random.SeedSequence(seed).spawn(trials)
-    workers = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+    threads = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ValidationError(
+            f"{THREADS_ENV_VAR} must be an integer, not {threads!r}"
+        ) from None
 
     def run(seq) -> np.ndarray:
         return _spectrum(rp, rq, dim, np.random.default_rng(seq))
@@ -209,7 +218,6 @@ def verify_two_projection_law(
         seed=seed,
         trials=trials,
         ks_statistic=ks,
-        atom_one_count=sum(trial_counts),
         expected_atom_one_count=expected_per_trial * trials,
         trial_atom_one_counts=trial_counts,
         moment_errors=moment_errors,

@@ -221,13 +221,24 @@ class Regime(Enum):
     DOUBLE_PINCH = "double_pinch"    # alpha = beta = 1/2: diagonal at both ends
 
 
+_REGIMES = {  # (pinch_at_a, pinch_at_b) -> regime
+    (False, False): Regime.UNPINCHED,
+    (True, False): Regime.PINCH_AT_A,
+    (False, True): Regime.PINCH_AT_B,
+    (True, True): Regime.DOUBLE_PINCH,
+}
+
+
 @dataclass(frozen=True)
 class TwoProjStructure:
-    regime: Regime
     wedge_summands: tuple[tuple[str, Fraction], ...]
     fiber_interval: tuple[float, float]
     pinch_at_a: bool
     pinch_at_b: bool
+
+    @property
+    def regime(self) -> Regime:
+        return _REGIMES[self.pinch_at_a, self.pinch_at_b]
 
     @property
     def fiber_mass(self) -> Fraction:
@@ -252,24 +263,11 @@ def two_projection_structure(alpha: Fraction, beta: Fraction) -> TwoProjStructur
         (WEDGE_NOT_P_NOT_Q, 1 - alpha - beta),
     )
     wedges = tuple((name, w) for name, w in candidates if w > 0)
-
-    pinch_a = alpha == beta          # iff a = 0
-    pinch_b = alpha + beta == 1      # iff b = 1
-    if pinch_a and pinch_b:
-        regime = Regime.DOUBLE_PINCH
-    elif pinch_a:
-        regime = Regime.PINCH_AT_A
-    elif pinch_b:
-        regime = Regime.PINCH_AT_B
-    else:
-        regime = Regime.UNPINCHED
-
     structure = TwoProjStructure(
-        regime=regime,
         wedge_summands=wedges,
         fiber_interval=(law.support_a, law.support_b),
-        pinch_at_a=pinch_a,
-        pinch_at_b=pinch_b,
+        pinch_at_a=alpha == beta,      # iff a = 0
+        pinch_at_b=alpha + beta == 1,  # iff b = 1
     )
     # The M2-valued fiber carries twice the pqp law's AC mass (two diagonal
     # matrix units over each fiber point).

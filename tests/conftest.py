@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from freeprod.engine import IdealDescriptor
 from freeprod.model import AtomSpec, FactorSpec, ProblemSpec, normalize_problem
 
 
@@ -25,6 +26,16 @@ def make_factor(name, masses, labels=None, isolated=None, diffuse=0, trace=True)
 
 def make_problem(*factors, tail=None):
     return normalize_problem(ProblemSpec(tuple(factors), tail=tail))
+
+
+def intersect_ideals(d1: IdealDescriptor, d2: IdealDescriptor) -> IdealDescriptor:
+    """Lattice meet: intersect summand sets; kernel sets unite; zero absorbs."""
+    killed = d1.killed_summands & d2.killed_summands
+    if d1.character_part is None or d2.character_part is None:
+        part = None
+    else:
+        part = d1.character_part | d2.character_part
+    return IdealDescriptor(killed, part)
 
 
 @pytest.fixture

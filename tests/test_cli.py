@@ -497,3 +497,58 @@ def test_ideal_lattice_over_cap_is_refused(problem_file, capsys):
     # analyze still reports the closed-form count
     assert run(["analyze", path]) == 0
     assert "ideal_count=1073741825" in capsys.readouterr().out
+
+
+def _long_masses(name, den):
+    # three atoms, so two such factors are not the two-projection case
+    return {"name": name, "atoms": [
+        {"label": f"{name.lower()}1", "mass": f"{den - 2}/{den}"},
+        {"label": f"{name.lower()}2", "mass": f"1/{den}"},
+        {"label": f"{name.lower()}3", "mass": f"1/{den}"},
+    ]}
+
+
+_LONG_X = _long_masses("X", 10**3000)
+_LONG_Y = _long_masses("Y", 10**3000 + 3)
+_LONG_ALPHA = f"{10**4000}/{10**4000 + 1}"
+_LONG_BETA = f"{10**4000 + 2}/{10**4000 + 3}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "@problem"],
+    ["analyze", "@problem", "--format", "json"],
+    ["ideals", "@problem"],
+    ["conjecture", "--kind", "abelian", "@conj"],
+    ["two-proj", "--alpha", _LONG_ALPHA, "--beta", _LONG_BETA],
+    ["moments", "--alpha", _LONG_ALPHA, "--beta", _LONG_BETA, "--max-n", "0"],
+], ids=["analyze", "analyze-json", "ideals", "conjecture", "two-proj", "moments"])
+def test_result_past_the_integer_digit_limit_is_one_error_line(problem_file, argv):
+    # Every input number prints, but a result (a summand weight, an atom
+    # pair's mass sum, atom_at_one or the wedge trace) has over 6000 digits.
+    files = {
+        "@problem": problem_file({"factors": [_LONG_X, _LONG_Y]}),
+        "@conj": problem_file({"X": _LONG_X, "Y": _LONG_Y}, "conj.json"),
+    }
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, *(files.get(a, a) for a in argv))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "more than 4300 digits" in lines[0]
+
+
+def test_non_integer_thread_count_is_one_error_line():
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "mc", "--alpha", "1/2", "--beta", "1/3",
+         "--dim", "16", "--trials", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC, FREEPROD_THREADS="abc",
+                 OPENBLAS_NUM_THREADS="1"),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: FREEPROD_THREADS must be an integer, not 'abc'\n"

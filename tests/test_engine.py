@@ -7,7 +7,6 @@ from freeprod.engine import (
     classify_atom_tuples,
     decompose,
     ideal_lattice,
-    intersect_ideals,
     report_to_json,
 )
 from freeprod.errors import (
@@ -18,7 +17,7 @@ from freeprod.errors import (
 from freeprod.model import TailSpec
 from freeprod.nc import wedge_trace
 
-from conftest import make_factor, make_problem
+from conftest import intersect_ideals, make_factor, make_problem
 
 F = Fraction
 

@@ -18,7 +18,6 @@ from freeprod.engine import (
     classify_atom_tuples,
     decompose,
     ideal_lattice,
-    intersect_ideals,
 )
 from freeprod.errors import (
     DegenerateProblem,
@@ -28,7 +27,7 @@ from freeprod.errors import (
 from freeprod.model import ProblemSpec, TailSpec, normalize_problem
 from freeprod.nc import alternating_moment, wedge_trace
 
-from conftest import make_factor, make_problem
+from conftest import intersect_ideals, make_factor, make_problem
 from nc_reference import catalan, noncrossing_partitions
 
 F = Fraction
@@ -108,7 +107,7 @@ def _brute_force_tuples(problem):
         isolated = all(a.isolated for a in atoms)
         t = AtomTuple(
             tuple((f.name, a.label) for f, a in zip(problem.factors, atoms)),
-            deficit, all_isolated=isolated, tail_maximal=tail is not None,
+            deficit, tail_maximal=tail is not None,
         )
         if deficit < 1 and isolated and tail is None:
             summands.append(t)

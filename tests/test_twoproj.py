@@ -178,6 +178,12 @@ def test_structure_three_displayed_cases():
     assert s.fiber_interval == (0.0, 1.0)
     assert s.regime is Regime.DOUBLE_PINCH
 
+    s = two_projection_structure(F(7, 10), F(3, 10))
+    assert dict(s.wedge_summands) == {WEDGE_P_NOT_Q: F(2, 5)}
+    assert not s.pinch_at_a and s.pinch_at_b
+    assert s.fiber_interval[1] == 1.0
+    assert s.regime is Regime.PINCH_AT_B
+
 
 def test_structure_law_consistency():
     for a, b in [(F(4, 5), F(3, 5)), (F(3, 10), F(3, 5)), (F(1, 2), F(9, 10))]:
