@@ -28,6 +28,7 @@ from .twoproj import (
     certify_law,
     law_density,
     law_moment,
+    law_moments,
     two_projection_law,
     two_projection_structure,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ideal_lattice",
     "law_density",
     "law_moment",
+    "law_moments",
     "normalize_problem",
     "two_projection_law",
     "two_projection_structure",

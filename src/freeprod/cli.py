@@ -34,7 +34,7 @@ from .model import (
 from .nc import alternating_moments, wedge_trace
 from .twoproj import (
     density_csv_rows,
-    law_moment,
+    law_moments,
     two_projection_law,
     two_projection_structure,
 )
@@ -140,8 +140,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_two_proj(args) -> int:
-    law = two_projection_law(args.alpha, args.beta)
     structure = two_projection_structure(args.alpha, args.beta)
+    law = structure.law
     obj = {
         "alpha": format_rational(args.alpha),
         "beta": format_rational(args.beta),
@@ -174,15 +174,12 @@ def cmd_two_proj(args) -> int:
 
 def cmd_moments(args) -> int:
     moments = alternating_moments(args.alpha, args.beta, args.max_n)
-    rows = []
-    law = two_projection_law(args.alpha, args.beta) if args.compare_law else None
-    for n, exact in enumerate(moments):
-        row = {"n": n, "exact": format_rational(exact)}
-        if law is not None:
-            analytic = law_moment(law, n)
+    rows = [{"n": n, "exact": format_rational(exact)} for n, exact in enumerate(moments)]
+    if args.compare_law:
+        law = two_projection_law(args.alpha, args.beta)
+        for row, exact, analytic in zip(rows, moments, law_moments(law, args.max_n)):
             row["analytic"] = analytic
             row["abs_error"] = abs(analytic - float(exact))
-        rows.append(row)
     obj = {
         "alpha": format_rational(args.alpha),
         "beta": format_rational(args.beta),

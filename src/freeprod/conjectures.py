@@ -17,6 +17,7 @@ from .model import (
     format_rational,
     json_field,
     parse_rational,
+    printable_rational,
     validate_factor,
 )
 
@@ -50,7 +51,7 @@ class MatrixBlockSpec:
                 total += w
         if total != ONE:
             raise ValidationError(
-                f"block weights sum to {format_rational(total)}, not 1"
+                f"block weights sum to {printable_rational(total)}, not 1"
             )
         if self.blocks == ((1, (ONE,)),):
             raise ValidationError(

@@ -79,6 +79,15 @@ def format_rational(q: Fraction) -> str:
         ) from None
 
 
+def printable_rational(q: Fraction) -> str:
+    """:func:`format_rational` for error messages: a rational too long to
+    print becomes a phrase, so the message still names its own error."""
+    try:
+        return format_rational(q)
+    except LimitExceeded:
+        return f"a rational with more than {int_digit_limit()} digits"
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     """One atom of a factor's state: a labeled point mass."""
@@ -170,7 +179,7 @@ def validate_factor(raw: FactorSpec) -> FactorSpec:
         if not (ZERO < atom.mass <= ONE):
             raise NonPositiveMass(
                 f"factor {raw.name!r}: atom {atom.label!r} has mass "
-                f"{format_rational(atom.mass)} outside (0, 1]"
+                f"{printable_rational(atom.mass)} outside (0, 1]"
             )
         if atom.mass == ONE and len(raw.atoms) > 1:
             raise NonPositiveMass(
@@ -184,7 +193,7 @@ def validate_factor(raw: FactorSpec) -> FactorSpec:
     total = sum((a.mass for a in raw.atoms), raw.diffuse_mass)
     if total != ONE:
         raise MassMismatch(
-            f"factor {raw.name!r}: masses sum to {format_rational(total)}, not 1"
+            f"factor {raw.name!r}: masses sum to {printable_rational(total)}, not 1"
         )
     if len(raw.atoms) == 0 and raw.diffuse_mass != ONE:
         raise MassMismatch(f"factor {raw.name!r}: no atoms and no full diffuse part")

@@ -18,10 +18,10 @@ certified; it must not import from :mod:`freeprod.twoproj`.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from .errors import DomainError, LimitExceeded
+from .model import int_digit_limit
 
 #: Longest word (pq)^n the oracle answers: 2n <= 256.
 MAX_WORD_LENGTH = 256
@@ -63,8 +63,7 @@ def alternating_moments(alpha: Fraction, beta: Fraction, nmax: int) -> list[Frac
     if 2 * nmax > MAX_WORD_LENGTH:
         raise LimitExceeded(f"word length {2 * nmax} exceeds cap {MAX_WORD_LENGTH}")
     d = alpha.denominator * beta.denominator
-    # absent before Python 3.10.7, where printing integers has no limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = int_digit_limit()
     if digits and nmax * math.log10(d) >= digits:
         raise LimitExceeded(
             f"moments to n={nmax} could have denominators past the "

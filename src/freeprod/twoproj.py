@@ -14,7 +14,7 @@ a*b = (alpha-beta)^2 and (1-a)(1-b) = (1-alpha-beta)^2 give a = 0 iff
 alpha = beta and b = 1 iff alpha + beta = 1 (checked on exact rationals,
 never on floats), give a as (alpha-beta)^2 / b without the cancellation of
 the difference form when alpha ~ beta, and make the law's moments and
-distribution function closed forms (:func:`law_moment`, :func:`law_cdf`).
+distribution function closed forms (:func:`law_moments`, :func:`law_cdf`).
 The endpoints and the 1/(2 pi) normalization are candidates, certified
 against the exact moment oracle in :mod:`freeprod.nc` by :func:`certify_law`
 and the tests.
@@ -45,10 +45,16 @@ class TwoProjectionLaw:
 
     alpha: Fraction
     beta: Fraction
-    atom_at_zero: Fraction
-    atom_at_one: Fraction
     support_a: float
     support_b: float
+
+    @property
+    def atom_at_zero(self) -> Fraction:
+        return ONE - min(self.alpha, self.beta)
+
+    @property
+    def atom_at_one(self) -> Fraction:
+        return wedge_trace(self.alpha, self.beta)
 
     @property
     def ac_mass(self) -> Fraction:
@@ -80,14 +86,7 @@ def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     # a*b = (alpha-beta)^2 exactly; center - half cancels when alpha ~ beta
     a = 0.0 if alpha == beta else math.ldexp(
         _scaled_float((alpha - beta) ** 2, 4 * s) / scaled_b, -2 * s)
-    return TwoProjectionLaw(
-        alpha=alpha,
-        beta=beta,
-        atom_at_zero=ONE - min(alpha, beta),
-        atom_at_one=max(alpha + beta - 1, ZERO),
-        support_a=a,
-        support_b=b,
-    )
+    return TwoProjectionLaw(alpha=alpha, beta=beta, support_a=a, support_b=b)
 
 
 def law_density(law: TwoProjectionLaw, t: float) -> float:
@@ -101,8 +100,8 @@ def law_density(law: TwoProjectionLaw, t: float) -> float:
     return math.sqrt(rad) / (2.0 * math.pi * t * (1.0 - t))
 
 
-def law_moment(law: TwoProjectionLaw, n: int) -> float:
-    """n-th moment: 1 at n = 0, and alpha*beta - sum_{k < n-1} P_k beyond.
+def law_moments(law: TwoProjectionLaw, nmax: int) -> list[float]:
+    """m_0..m_nmax: 1, then alpha*beta - sum_{k < n-1} P_k, each P_k built once.
 
     P_k = m_(k+1) - m_(k+2) is the k-th moment of sqrt(R) / (2 pi) with
     R = (b - t)(t - a), in which the atoms and the density's poles cancel.
@@ -114,19 +113,22 @@ def law_moment(law: TwoProjectionLaw, n: int) -> float:
     m and h come from the float endpoints, so these moments test the
     endpoint formulas and the normalization against the exact oracle.
     """
-    if n < 0:
+    if nmax < 0:
         raise DomainError("n must be nonnegative")
-    if n == 0:
-        return 1.0
     m = 0.5 * (law.support_a + law.support_b)
     q = (0.25 * (law.support_b - law.support_a)) ** 2  # h^2 / 4
-    moment = float(law.alpha * law.beta)
-    for k in range(n - 1):
-        moment -= q * sum(
+    moments = [1.0, float(law.alpha * law.beta)]
+    for k in range(nmax - 1):
+        moments.append(moments[-1] - q * sum(
             math.comb(k, 2 * j) * (math.comb(2 * j, j) // (j + 1)) * m ** (k - 2 * j) * q**j
             for j in range(k // 2 + 1)
-        )
-    return moment
+        ))
+    return moments[: nmax + 1]
+
+
+def law_moment(law: TwoProjectionLaw, n: int) -> float:
+    # kept only for perfbench's traced oracle replay, which calls it by name
+    return law_moments(law, n)[n]
 
 
 def law_cdf(law: TwoProjectionLaw, x):
@@ -172,18 +174,14 @@ def law_cdf(law: TwoProjectionLaw, x):
 def certify_law(alpha: Fraction, beta: Fraction, nmax: int = 8, tol: float = 1e-8) -> float:
     """Compare analytic moments with the exact oracle; return the worst error.
 
-    The exact moments m_0..m_nmax come from one call to
-    :func:`freeprod.nc.alternating_moments`.  Raises DomainError if any of
-    them disagrees with :func:`law_moment` beyond tol.  This is the gate
-    that certifies the undocumented endpoint formulas for a and b and the
-    1/(2 pi) normalization, both carried by the P_k of :func:`law_moment`;
-    moments 0 and 1 are exact by construction.
+    m_0..m_nmax come from one call each to :func:`law_moments` and
+    :func:`freeprod.nc.alternating_moments`; a pair tol or more apart raises
+    DomainError.  This gate certifies the undocumented endpoint formulas for a
+    and b and the 1/(2 pi) normalization; moments 0 and 1 are exact by construction.
     """
     law = two_projection_law(alpha, beta)
-    worst = max(
-        abs(law_moment(law, n) - float(exact))
-        for n, exact in enumerate(alternating_moments(alpha, beta, nmax))
-    )
+    exact = alternating_moments(alpha, beta, nmax)
+    worst = max(abs(m - float(e)) for m, e in zip(law_moments(law, nmax), exact))
     if worst >= tol:
         raise DomainError(
             f"law certification failed for alpha={alpha}, beta={beta}: "
@@ -232,9 +230,13 @@ _REGIMES = {  # (pinch_at_a, pinch_at_b) -> regime
 @dataclass(frozen=True)
 class TwoProjStructure:
     wedge_summands: tuple[tuple[str, Fraction], ...]
-    fiber_interval: tuple[float, float]
+    law: TwoProjectionLaw
     pinch_at_a: bool
     pinch_at_b: bool
+
+    @property
+    def fiber_interval(self) -> tuple[float, float]:
+        return self.law.support_a, self.law.support_b
 
     @property
     def regime(self) -> Regime:
@@ -246,15 +248,15 @@ class TwoProjStructure:
 
 
 def two_projection_structure(alpha: Fraction, beta: Fraction) -> TwoProjStructure:
-    """Wedge summands (exact weights), fiber interval and pinch flags.
+    """Wedge summands (exact weights), the law and pinch flags.
 
     Inputs outside the normalization 1 > alpha >= beta >= 1/2 are covered by
     the symmetries p <-> 1-p, q <-> 1-q and p <-> q, under which the four
     wedge weights are simply the positive parts of the four linear forms
     alpha+beta-1, alpha-beta, beta-alpha and 1-alpha-beta.
     """
-    alpha, beta = check_unit_interval(alpha, beta)
     law = two_projection_law(alpha, beta)
+    alpha, beta = law.alpha, law.beta
 
     candidates = (
         (WEDGE_PQ, alpha + beta - 1),
@@ -265,7 +267,7 @@ def two_projection_structure(alpha: Fraction, beta: Fraction) -> TwoProjStructur
     wedges = tuple((name, w) for name, w in candidates if w > 0)
     structure = TwoProjStructure(
         wedge_summands=wedges,
-        fiber_interval=(law.support_a, law.support_b),
+        law=law,
         pinch_at_a=alpha == beta,      # iff a = 0
         pinch_at_b=alpha + beta == 1,  # iff b = 1
     )

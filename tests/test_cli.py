@@ -539,6 +539,48 @@ def test_result_past_the_integer_digit_limit_is_one_error_line(problem_file, arg
     assert "more than 4300 digits" in lines[0]
 
 
+def _mismatched(den_x, den_y):
+    # two masses 1/den_x and 1/den_y, as a factor's atoms and as two 1x1 blocks
+    factor = {"name": "X", "atoms": [{"label": "x1", "mass": f"1/{den_x}"},
+                                     {"label": "x2", "mass": f"1/{den_y}"}]}
+    half = {"name": "Y", "atoms": [{"label": "y1", "mass": "1/2"},
+                                   {"label": "y2", "mass": "1/2"}]}
+    blocks = {"blocks": [{"size": 1, "weights": [f"1/{den_x}"]},
+                         {"size": 1, "weights": [f"1/{den_y}"]}]}
+    halves = {"blocks": [{"size": 1, "weights": ["1/2"]}, {"size": 1, "weights": ["1/2"]}]}
+    return {"factors": [factor, half]}, {"X": factor, "Y": half}, {"A": blocks, "B": halves}
+
+
+_TOO_LONG = "a rational with more than 4300 digits"
+
+
+@pytest.mark.parametrize("dens, total", [
+    ((3, 3), "2/3"),                      # printable: the message as before
+    ((10**3000, 10**3000 + 3), _TOO_LONG),  # the total has about 6000 digits
+], ids=["printable", "too-long"])
+@pytest.mark.parametrize("argv, which, message", [
+    (["analyze", "@file"], 0, "factor 'X': masses sum to {}, not 1"),
+    (["conjecture", "--kind", "abelian", "@file"], 1, "factor 'X': masses sum to {}, not 1"),
+    (["conjecture", "--kind", "matrix", "@file"], 2, "block weights sum to {}, not 1"),
+], ids=["analyze", "abelian", "matrix"])
+def test_mass_mismatch_names_the_mismatch(problem_file, dens, total, argv, which, message):
+    path = problem_file(_mismatched(*dens)[which])
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, *(path if a == "@file" else a for a in argv))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: " + message.format(total) + "\n"
+
+
+def test_negative_seed_is_one_error_line():
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    proc = _run_python(code, "mc", "--alpha", "1/2", "--beta", "1/3", "--dim", "16",
+                       "--trials", "1", "--seed", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be >= 0\n"
+
+
 def test_non_integer_thread_count_is_one_error_line():
     code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
     proc = subprocess.run(

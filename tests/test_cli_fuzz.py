@@ -1,15 +1,18 @@
-"""Fuzz the CLI's JSON inputs: every file gives exit 0, 1 or 2, never a crash.
+"""Fuzz the CLI's inputs: every call gives exit 0, 1 or 2, never a crash.
 
-Inputs are small (at most 3 factors of at most 4 atoms, or 3 matrix blocks)
-so that a valid one is answered in milliseconds.  Each starts as a valid
-problem or conjecture document, or as any small JSON value; then one of its
-fields may be replaced by any JSON value, and its text may be truncated or
-have one character replaced.
+JSON inputs are small (at most 3 factors of at most 4 atoms, or 3 matrix
+blocks) so that a valid one is answered in milliseconds.  Each starts as a
+valid problem or conjecture document, or as any small JSON value; then one
+of its fields may be replaced by any JSON value, and its text may be
+truncated or have one character replaced.  The analytic commands
+(``two-proj``, ``moments``, ``mc``) get drawn option values instead; ``mc``
+stays at dim <= 24 and at most 2 trials.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -151,5 +154,69 @@ def test_cli_json_inputs_never_crash(tmp_path_factory, argv, documents):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert out.getvalue() == ""
+
+    check()
+
+
+numbers = (
+    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                 max_denominator=40).map(str)
+    | st.decimals(min_value=0, max_value=1, places=3,
+                  allow_nan=False, allow_infinity=False).map(str)
+    | st.sampled_from(["0", "1", "-1", "1/2", "999/1000", "1/1000", "3/2", "-1/2",
+                       "1/0", "0/0", "1e-3", "1e-400", "1e-5000", "nan", "inf", "x",
+                       "", "1/", "0x1"])
+)
+max_ns = st.integers(-2, 10).map(str) | st.sampled_from(["127", "128", "129", "x", "1.5"])
+
+
+def mostly(valid, invalid):
+    """A valid value three draws in four, else an invalid one."""
+    return st.sampled_from([valid] * 3 + [invalid]).flatmap(st.sampled_from)
+
+
+@st.composite
+def analytic_argvs(draw, command, out_path):
+    argv = [command, f"--alpha={draw(numbers)}", f"--beta={draw(numbers)}"]
+    if command == "mc":
+        argv += [f"--dim={draw(mostly([16, 17, 24], [-1, 15]))}",
+                 f"--trials={draw(mostly([1, 2], [-1, 0]))}",
+                 f"--seed={draw(mostly([0, 2**64], [-1]))}"]
+        if draw(st.booleans()):
+            argv.append(f"--eig-csv={out_path}")
+        return argv
+    if command == "moments":
+        if draw(st.booleans()):
+            argv.append(f"--max-n={draw(max_ns)}")
+        if draw(st.booleans()):
+            argv.append("--compare-law")
+    elif draw(st.booleans()):
+        argv.append(f"--density-csv={out_path}")
+    return argv + draw(st.sampled_from([[], ["--format=text"], ["--format=json"]]))
+
+
+@pytest.mark.parametrize("command", ["two-proj", "moments", "mc"])
+def test_cli_analytic_options_never_crash(tmp_path_factory, command):
+    out_path = tmp_path_factory.mktemp("fuzz") / "out.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(analytic_argvs(command, out_path))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+        except SystemExit as exc:  # argparse's usage error, and nothing else
+            code = exc.code
+            assert code == 2
+        assert code in (0, 1, 2)
+        if code == 1 and err.getvalue():
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert out.getvalue() == ""
+        elif code != 2:
+            # a report; mc exits 1 after printing one that fails its gates
+            assert code == 0 or command == "mc"
+            assert err.getvalue() == "" and out.getvalue()
 
     check()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freeprod.errors import DimensionError
+from freeprod.errors import DimensionError, ValidationError
 from freeprod.rmt import (
     KS_THRESHOLD,
     MOMENT_ORDERS,
@@ -260,6 +260,15 @@ def test_dimension_errors():
         trial_spectra(F(1, 1000), F(1, 2), 64, seed=0, trials=1)
     with pytest.raises(DimensionError):
         verify_two_projection_law(F(1, 2), F(1, 2), dim=64, seed=0, trials=0)
+
+
+def test_negative_seed_is_refused_after_the_dimension_checks():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        trial_spectra(F(1, 2), F(1, 3), 16, seed=-1, trials=1)
+    with pytest.raises(DimensionError):
+        trial_spectra(F(1, 2), F(1, 3), 8, seed=-1, trials=1)
+    with pytest.raises(DimensionError):
+        verify_two_projection_law(F(1, 2), F(1, 3), dim=16, seed=-1, trials=0)
 
 
 def test_eigenvalue_csv():

@@ -14,9 +14,11 @@ from freeprod.twoproj import (
     law_cdf,
     law_density,
     law_moment,
+    law_moments,
     two_projection_law,
     two_projection_structure,
 )
+from twoproj_reference import reference_law_moment
 
 F = Fraction
 
@@ -212,3 +214,20 @@ def test_domain_errors():
         two_projection_law(F(0), F(1, 2))
     with pytest.raises(DomainError):
         two_projection_structure(F(1), F(1, 2))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (F(7, 10), F(3, 5)), (F(1, 2), F(1, 2)), (F(7, 10), F(7, 10)), (F(7, 10), F(3, 10)),
+    (F(120, 331), F(37, 58)), (F(999, 1000), F(997, 1000)), (F(1, 1000), F(1, 999)),
+    pytest.param(F(1, 10**200), F(3, 10**200), id="1e-200"),
+], ids=str)
+def test_law_moments_match_per_order_reference(alpha, beta):
+    # one pass over the P_k does the per-order loop's float operations in
+    # the same order, so the values agree bit for bit
+    law = two_projection_law(alpha, beta)
+    assert law_moments(law, 128) == [reference_law_moment(law, n) for n in range(129)]
+    assert law_moments(law, 0) == [1.0]
+    assert law_moments(law, 1) == [1.0, float(alpha * beta)]
+    assert law_moment(law, 37) == reference_law_moment(law, 37)
+    with pytest.raises(DomainError, match="n must be nonnegative"):
+        law_moments(law, -1)
