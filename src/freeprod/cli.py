@@ -4,6 +4,8 @@ Subcommands: analyze, two-proj, moments, ideals, mc, conjecture.
 Exit codes: 0 success, 1 domain error (validation, refusal), 2 usage error.
 Reports go to stdout, diagnostics to stderr.  The ``analyze`` and ``ideals``
 JSON reports contain rationals as "num/den" strings only, never floats.
+Each ``cmd_*`` imports the layers it runs, so a command loads no module it
+does not use; only ``mc`` loads numpy.
 """
 
 from __future__ import annotations
@@ -14,30 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .conjectures import (
-    conjecture_abelian,
-    conjecture_finite_dim,
-    matrix_block_from_json,
-)
-from .engine import decompose, report_to_json, write_ideals
 from .errors import FreeprodError, RefusedTwoProjectionCase
-from .model import (
-    exceeds_digit_limit,
-    factor_from_json,
-    format_rational,
-    int_digit_limit,
-    json_field,
-    load_json,
-    load_problem,
-    normalize_problem,
-)
-from .nc import alternating_moments, wedge_trace
-from .twoproj import (
-    density_csv_rows,
-    law_moments,
-    two_projection_law,
-    two_projection_structure,
-)
+from .model import exceeds_digit_limit, format_rational, int_digit_limit
 
 
 def _analytic_fraction(s: str) -> Fraction:
@@ -130,6 +110,9 @@ def _analyze_text(report) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .engine import decompose, report_to_json
+    from .model import load_problem, normalize_problem
+
     problem = normalize_problem(load_problem(args.problem))
     report = decompose(problem)
     if args.format == "json":
@@ -140,6 +123,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_two_proj(args) -> int:
+    from .twoproj import density_csv_rows, two_projection_structure
+
     structure = two_projection_structure(args.alpha, args.beta)
     law = structure.law
     obj = {
@@ -173,6 +158,9 @@ def cmd_two_proj(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .nc import alternating_moments, wedge_trace
+    from .twoproj import law_moments, two_projection_law
+
     moments = alternating_moments(args.alpha, args.beta, args.max_n)
     rows = [{"n": n, "exact": format_rational(exact)} for n, exact in enumerate(moments)]
     if args.compare_law:
@@ -199,6 +187,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_ideals(args) -> int:
+    from .engine import decompose, write_ideals
+    from .model import load_problem, normalize_problem
+
     report = decompose(normalize_problem(load_problem(args.problem)))
     write_ideals(report, sys.stdout, args.format)
     return 0
@@ -224,6 +215,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .conjectures import conjecture_abelian, conjecture_finite_dim, matrix_block_from_json
+    from .model import factor_from_json, json_field, load_json
+
     obj = load_json(args.input)
     what = f"{args.kind} conjecture input"
     if args.kind == "abelian":

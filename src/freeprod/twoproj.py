@@ -86,7 +86,9 @@ def two_projection_law(alpha: Fraction, beta: Fraction) -> TwoProjectionLaw:
     # a*b = (alpha-beta)^2 exactly; center - half cancels when alpha ~ beta
     a = 0.0 if alpha == beta else math.ldexp(
         _scaled_float((alpha - beta) ** 2, 4 * s) / scaled_b, -2 * s)
-    return TwoProjectionLaw(alpha=alpha, beta=beta, support_a=a, support_b=b)
+    # a <= b in exact arithmetic, but the rounded quotient can land one ulp
+    # above b when the AC part is vanishingly small (beta ~ 1e-34 and less)
+    return TwoProjectionLaw(alpha=alpha, beta=beta, support_a=min(a, b), support_b=b)
 
 
 def law_density(law: TwoProjectionLaw, t: float) -> float:
@@ -190,12 +192,12 @@ def certify_law(alpha: Fraction, beta: Fraction, nmax: int = 8, tol: float = 1e-
     return worst
 
 
-def density_csv_rows(law: TwoProjectionLaw, rows: int = DENSITY_CSV_ROWS) -> Iterable[str]:
-    """Yield "t,density" CSV lines at equally spaced t in [a, b]."""
+def density_csv_rows(law: TwoProjectionLaw) -> Iterable[str]:
+    """Yield "t,density" CSV lines at DENSITY_CSV_ROWS equally spaced t in [a, b]."""
     yield "t,density"
     a, b = law.support_a, law.support_b
-    for i in range(rows):
-        t = a + (b - a) * i / (rows - 1)
+    for i in range(DENSITY_CSV_ROWS):
+        t = a + (b - a) * i / (DENSITY_CSV_ROWS - 1)
         t = min(max(t, a), b)
         yield f"{t:.17g},{law_density(law, t):.17g}"
 

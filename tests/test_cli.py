@@ -380,6 +380,96 @@ print("numpy not loaded")
     assert proc.stdout.endswith("numpy not loaded\n")
 
 
+@pytest.mark.parametrize("argvs, certify, absent", [
+    ([["two-proj", "--alpha", "7/10", "--beta", "3/5"],
+      ["two-proj", "--alpha", "7/10", "--beta", "3/5", "--density-csv", "@csv"],
+      ["moments", "--alpha", "7/10", "--beta", "3/5", "--compare-law"]],
+     True, ["freeprod.engine", "freeprod.conjectures", "numpy"]),
+    ([["analyze", "@problem"], ["ideals", "@problem"],
+      ["conjecture", "--kind", "abelian", "@conj"]],
+     False, ["freeprod.nc", "freeprod.twoproj"]),
+], ids=["analytic", "structure"])
+def test_each_command_loads_only_its_layers(problem_file, tmp_path, argvs, certify, absent):
+    paths = {
+        "@problem": problem_file(WORKED),
+        "@conj": problem_file({"X": WORKED["factors"][0], "Y": WORKED["factors"][1]},
+                              "conj.json"),
+        "@csv": str(tmp_path / "density.csv"),
+    }
+    code = """
+import json, sys
+from fractions import Fraction
+from freeprod.cli import run
+argvs, certify, absent = (json.loads(a) for a in sys.argv[1:])
+for argv in argvs:
+    assert run(argv) == 0, argv
+if certify:
+    from freeprod.twoproj import certify_law
+    assert certify_law(Fraction(7, 10), Fraction(3, 5)) < 1e-15
+print(json.dumps(sorted(name for name in absent if name in sys.modules)))
+"""
+    argvs = [[paths.get(a, a) for a in argv] for argv in argvs]
+    proc = _run_python(code, json.dumps(argvs), json.dumps(certify), json.dumps(absent))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_commands_in_sequence_match_fresh_processes(problem_file, tmp_path, capsys):
+    # one process runs every subcommand, each as the first call of its kind
+    # and again later; every call must answer as a fresh process does
+    problem = problem_file(WORKED)
+    refused = problem_file(TWO_PROJ_PROBLEM, "two_proj.json")
+    conj = problem_file({"X": WORKED["factors"][0], "Y": WORKED["factors"][1]}, "conj.json")
+    matrix = problem_file({
+        "A": {"blocks": [{"size": 1, "weights": ["1/2"]}, {"size": 1, "weights": ["1/2"]}]},
+        "B": {"blocks": [{"size": 2, "weights": ["1/8", "3/8"]},
+                         {"size": 2, "weights": ["1/8", "3/8"]}]},
+    }, "matrix.json")
+    mc = ["mc", "--alpha", "7/10", "--beta", "3/5", "--dim", "32", "--trials", "2"]
+    sequence = [
+        ["--version"],
+        ["two-proj", "--alpha", "7/10", "--beta", "3/5"],
+        ["analyze", problem],
+        ["moments", "--alpha", "7/10", "--beta", "3/5", "--compare-law"],
+        ["ideals", problem],
+        ["conjecture", "--kind", "abelian", conj],
+        mc,
+        ["two-proj", "--alpha", "7/10"],
+        ["analyze", refused],
+        ["two-proj", "--alpha", "8/35", "--beta", "1e-400", "--density-csv", "@/density.csv"],
+        ["moments", "--alpha", "120/331", "--beta", "37/58", "--max-n", "12", "--format", "json"],
+        ["analyze", problem, "--format", "json"],
+        ["ideals", problem, "--format", "text"],
+        ["conjecture", "--kind", "matrix", matrix],
+        mc + ["--seed", "3", "--eig-csv", "@/eigs.csv"],
+        ["two-proj", "--alpha", "7/10", "--beta", "3/5"],
+        ["analyze", refused],
+        ["moments", "--alpha", "7/10", "--beta", "3/5", "--max-n", "-1"],
+        ["no-such-command"],
+        ["--version"],
+    ]
+    code = "import sys\nfrom freeprod.cli import main\nsys.argv[0] = 'freeprod'\nmain()"
+    for i, argv in enumerate(sequence):
+        outputs = []
+        for side in ("in-process", "fresh"):
+            folder = tmp_path / f"{side}-{i}"
+            folder.mkdir()
+            args = [str(folder) + a[1:] if a.startswith("@/") else a for a in argv]
+            if side == "fresh":
+                proc = _run_python(code, *args)
+                result = (proc.returncode, proc.stdout, proc.stderr)
+            else:
+                try:
+                    rc = run(args)
+                except SystemExit as exc:
+                    rc = exc.code
+                captured = capsys.readouterr()
+                result = (rc, captured.out, captured.err)
+            files = {p.name: p.read_bytes() for p in folder.iterdir()}
+            outputs.append((result, files))
+        assert outputs[0] == outputs[1], argv
+
+
 def test_mc_without_numpy_is_one_error_line():
     # None in sys.modules makes `import numpy` fail as on a bare install
     code = ("import sys\nsys.modules['numpy'] = None\nfrom freeprod.cli import main\n"
@@ -446,6 +536,16 @@ def test_law_whose_support_underflows_is_answered(alpha, beta):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)["moments"]
     assert all(row["abs_error"] <= 1e-15 for row in rows)
+
+
+def test_law_whose_support_is_one_point_writes_its_density_csv(tmp_path, capsys):
+    # at beta <= 1e-34 the rounded a came out one ulp above b, and the
+    # density at t = a was refused as outside [a, b]
+    csv = tmp_path / "density.csv"
+    assert run(["two-proj", "--alpha", "8/35", "--beta", "1e-400",
+                "--density-csv", str(csv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(csv.read_text().splitlines()) == 1025
 
 
 @pytest.mark.parametrize("argv", [

@@ -209,6 +209,16 @@ def test_density_csv_export():
     assert float(first[1]) == 0.0 and float(last[1]) == 0.0
 
 
+@pytest.mark.parametrize("beta", [F(1, 10**34), F(1, 10**40), F(1, 10**400)],
+                         ids=["1e-34", "1e-40", "1e-400"])
+@pytest.mark.parametrize("swap", [False, True], ids=["alpha-first", "beta-first"])
+def test_support_is_ordered_when_it_is_one_point(beta, swap):
+    # a = (alpha - beta)^2 / b rounds one ulp above b here
+    args = (beta, F(8, 35)) if swap else (F(8, 35), beta)
+    law = two_projection_law(*args)
+    assert law.support_a <= law.support_b
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         two_projection_law(F(0), F(1, 2))
