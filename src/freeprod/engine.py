@@ -274,18 +274,21 @@ def decompose(problem: NormalizedProblem) -> StructureReport:
 
 def _lattice_walk(report: StructureReport) -> tuple[
     list[Optional[frozenset[int]]],
-    Iterator[tuple[list[int], tuple[Fraction, Fraction]]],
+    int,
+    Iterator[tuple[tuple[int, ...], int, int]],
 ]:
     """The one walk of the ideal lattice: character parts and killed masks.
 
-    Returns ``(parts, masks)``.  ``parts`` lists the character parts: zero
-    (``None``), then the kernel intersection over each subset of the
+    Returns ``(parts, den, masks)``.  ``parts`` lists the character parts:
+    zero (``None``), then the kernel intersection over each subset of the
     characters in mask order, so ``parts[1]`` is the whole corner and every
-    later part is nonunital.  ``masks`` yields, per killed-summand mask in
-    ascending order, the sorted killed summand indices and the unit traces
-    of the two unital ideals over them (zero part, whole corner).  Above
-    MAX_IDEALS elements, or when a unit trace might have too many digits to
-    print, it raises LimitExceeded before building anything.
+    later part is nonunital.  ``den`` is the common denominator of every
+    unit trace.  ``masks`` yields, per killed-summand mask in ascending
+    order, the sorted killed summand indices and the numerators over
+    ``den`` of the unit traces of the two unital ideals over them (zero
+    part, whole corner).  Above MAX_IDEALS elements, or when a unit trace
+    might have too many digits to print, it raises LimitExceeded before
+    building anything.
     """
     if report.ideal_count > MAX_IDEALS:
         raise LimitExceeded(
@@ -307,21 +310,27 @@ def _lattice_walk(report: StructureReport) -> tuple[
     ]
     # The masks come from a separate generator so that the cap above is
     # checked at this call, not at the first mask.
-    return parts, _killed_masks(gammas, r0_trace)
+    return parts, den, _killed_masks(
+        [g.numerator * (den // g.denominator) for g in gammas],
+        r0_trace.numerator * (den // r0_trace.denominator),
+    )
 
 
-def _killed_masks(gammas: list[Fraction], r0_trace: Fraction):
+def _killed_masks(gammas: list[int], r0: int):
     s = len(gammas)
-    # above[k] is the trace of the current mask's bits >= k; when the mask
-    # steps to m with lowest set bit k, above[k + 1] is trace(m & (m - 1)).
-    above = [ZERO] * (s + 1)
-    for mask in range(2**s):
-        trace = ZERO
-        if mask:
-            k = (mask & -mask).bit_length() - 1
-            trace = above[k + 1] + gammas[k]
-            above[: k + 1] = [trace] * (k + 1)
-        yield [i for i in range(s) if mask >> i & 1], (trace, trace + r0_trace)
+    # above[k] and killed_above[k] are the trace numerator and the sorted
+    # indices of the current mask's bits >= k; when the mask steps to m with
+    # lowest set bit k, index k + 1 holds those of m & (m - 1).
+    above = [0] * (s + 1)
+    killed_above: list[tuple[int, ...]] = [()] * (s + 1)
+    yield (), 0, r0
+    for mask in range(1, 2**s):
+        k = (mask & -mask).bit_length() - 1
+        trace = above[k + 1] + gammas[k]
+        killed = (k,) + killed_above[k + 1]
+        above[: k + 1] = [trace] * (k + 1)
+        killed_above[: k + 1] = [killed] * (k + 1)
+        yield killed, trace, trace + r0
 
 
 def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]:
@@ -337,12 +346,12 @@ def ideal_lattice(report: StructureReport) -> list[tuple[IdealDescriptor, dict]]
     whole corner are unital.  Above MAX_IDEALS elements it raises
     LimitExceeded before building anything.
     """
-    parts, masks = _lattice_walk(report)
+    parts, den, masks = _lattice_walk(report)
     out: list[tuple[IdealDescriptor, dict]] = []
-    for killed, unit_traces in masks:
+    for killed, *unit_traces in masks:
         killed = frozenset(killed)
         for j, part in enumerate(parts):
-            unit = unit_traces[j] if j < 2 else None
+            unit = Fraction(unit_traces[j], den) if j < 2 else None
             ann = {"unital": unit is not None, "unit_trace": unit}
             out.append((IdealDescriptor(killed, part), ann))
     assert len(out) == report.ideal_count
@@ -419,6 +428,16 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
+def _trace_text(t: int, den: int) -> str:
+    """``format_rational(Fraction(t, den))``, reduced with one gcd.
+
+    A unit trace lies in [0, 1], so its numerator prints whenever ``den``
+    does, which ``_lattice_walk`` has checked.
+    """
+    g = math.gcd(t, den)
+    return str(t // g) if g == den else f"{t // g}/{den // g}"
+
+
 def write_ideals(report: StructureReport, out, fmt: str) -> None:
     """Write the ideal lattice to ``out`` as ``freeprod ideals`` prints it.
 
@@ -427,17 +446,18 @@ def write_ideals(report: StructureReport, out, fmt: str) -> None:
     plus a newline; otherwise an ``ideal_count=`` line and one line per
     ideal holding the repr of its ``ideals_to_json`` dict.  Every ideal has
     the same shape, so the text of each character part is made once and the
-    killed summands and unit traces once per killed mask; the lattice is
-    written one mask at a time and never held whole.  LimitExceeded is
-    raised before anything is written.
+    killed summands and the two unit traces once per killed mask, each
+    trace from its integer numerator over the lattice's common denominator;
+    the lattice is written one mask at a time and never held whole.
+    LimitExceeded is raised before anything is written.
     """
-    parts, masks = _lattice_walk(report)
+    parts, den, masks = _lattice_walk(report)
     if fmt == "json":
-        keys, value, sep = _JSON_KEYS, _json_value, ",\n"
+        keys, value, sep, quote = _JSON_KEYS, _json_value, ",\n", '"'
         out.write(f'{{\n  "ideal_count": {report.ideal_count},\n  "ideals": [\n')
         end = "\n  ]\n}\n"
     else:
-        keys, value, sep = _TEXT_KEYS, repr, "\n"
+        keys, value, sep, quote = _TEXT_KEYS, repr, "\n", "'"
         out.write(f"ideal_count={report.ideal_count}\n")
         end = "\n"
     part_text = [
@@ -445,14 +465,17 @@ def write_ideals(report: StructureReport, out, fmt: str) -> None:
         + keys[2] + value(j < 2) + keys[3]
         for j, part in enumerate(parts)
     ]
+    # a unit trace prints as a quoted string of digits and at most one "/"
+    zero, corner = (text + quote for text in part_text[:2])
+    close = quote + keys[4]
     nonunital = [text + value(None) + keys[4] for text in part_text[2:]]
     lead = ""
-    for killed, unit_traces in masks:
-        unital = [
-            text + value(format_rational(unit)) + keys[4]
-            for text, unit in zip(part_text, unit_traces)
-        ]
-        head = keys[0] + value(killed)
-        out.write(lead + head + (sep + head).join(unital + nonunital))
+    for killed, trace, unit in masks:
+        head = keys[0] + value(list(killed))
+        out.write(lead + head + (sep + head).join([
+            zero + _trace_text(trace, den) + close,
+            corner + _trace_text(unit, den) + close,
+            *nonunital,
+        ]))
         lead = sep
     out.write(end)

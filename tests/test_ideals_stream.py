@@ -5,14 +5,18 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeprod.cli import run
-from freeprod.engine import decompose, ideals_to_json
+from freeprod.engine import decompose, ideal_lattice, ideals_to_json, write_ideals
+from freeprod.errors import LimitExceeded
 from freeprod.model import load_problem, normalize_problem
 
 
@@ -64,20 +68,97 @@ def _cli(path, fmt):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_cli_prints(path, whole):
+    assert _cli(path, "json") == (
+        0, json.dumps(whole, indent=2, ensure_ascii=False) + "\n", "")
+    text = f"ideal_count={whole['ideal_count']}\n"
+    text += "".join(f"{item}\n" for item in whole["ideals"])
+    assert _cli(path, "text") == (0, text, "")
+
+
+def _problem_report(tmp, obj):
+    path = os.path.join(tmp, "problem.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path, decompose(normalize_problem(load_problem(path)))
+
+
 def _assert_streams_whole_lattice(obj, shape=None):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "problem.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        report = decompose(normalize_problem(load_problem(path)))
+        path, report = _problem_report(tmp, obj)
         if shape is not None:
             assert (len(report.summands), len(report.characters)) == shape
-        whole = ideals_to_json(report)
-        assert _cli(path, "json") == (
-            0, json.dumps(whole, indent=2, ensure_ascii=False) + "\n", "")
-        text = f"ideal_count={whole['ideal_count']}\n"
-        text += "".join(f"{item}\n" for item in whole["ideals"])
-        assert _cli(path, "text") == (0, text, "")
+        _assert_cli_prints(path, ideals_to_json(report))
+
+
+def _lattice_by_definition(report):
+    """The ``ideals_to_json`` dict built straight from the definition: per
+    killed-summand mask the set bits, and unit traces summed bit by bit."""
+    gammas = [g for _, g in report.summands]
+    c = len(report.characters)
+    parts = ["zero"] + [[j for j in range(c) if f >> j & 1] for f in range(2**c)]
+    ideals = []
+    for mask in range(2 ** len(gammas)):
+        killed = [i for i in range(len(gammas)) if mask >> i & 1]
+        trace = sum((gammas[i] for i in killed), Fraction(0))
+        units = [trace, trace + report.r0_trace]
+        for j, part in enumerate(parts):
+            unit = units[j] if j < 2 else None
+            ideals.append({
+                "killed_summands": killed,
+                "character_part": part,
+                "unital": unit is not None,
+                "unit_trace": None if unit is None else (
+                    str(unit.numerator) if unit.denominator == 1
+                    else f"{unit.numerator}/{unit.denominator}"),
+            })
+    return {"ideal_count": len(ideals), "ideals": ideals}
+
+
+@pytest.mark.parametrize("obj, shape", [
+    # 2520 = 2^3 3^2 5 7, so the traces reduce to many denominators
+    (lattice_problem(list(range(2, 14)), [1], 2520), (12, 1)),
+    (lattice_problem([2, 3, 5, 7, 11, 13, 17, 19, 23], [1, 4, 1], 997), (9, 3)),
+    (lattice_problem(list(range(3, 29, 2)), [], 2520), (13, 0)),
+    (lattice_problem([], [1, 2, 1, 3], 997), (0, 4)),
+    (TAIL_PROBLEM, None),
+])
+def test_ideals_match_lattice_built_from_definition(obj, shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = _problem_report(tmp, obj)
+        if shape is not None:
+            assert (len(report.summands), len(report.characters)) == shape
+        _assert_cli_prints(path, _lattice_by_definition(report))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no digit limit")
+def test_unit_traces_with_too_long_common_denominator_are_refused():
+    # two summands whose weights have coprime ~503-digit denominators: each
+    # prints under a 640-digit limit, but their common denominator does not
+    atoms = [{"label": f"a{i}", "mass": f"{d // 3}/{d}", "isolated": True}
+             for i, d in enumerate((10**500 + 1, 10**500 + 3))]
+    used = sum(Fraction(a["mass"]) for a in atoms)
+    obj = {"factors": [
+        {"name": "A", "atoms": atoms, "diffuse_mass": str(1 - used)},
+        {"name": "B", "atoms": [{"label": "b0", "mass": "996/997"},
+                                {"label": "b1", "mass": "1/997"}]},
+    ]}
+    with tempfile.TemporaryDirectory() as tmp:
+        _, report = _problem_report(tmp, obj)
+    assert len(report.summands) == 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with pytest.raises(LimitExceeded, match="common denominator of more than 640"):
+                write_ideals(report, out, fmt)
+            assert out.getvalue() == ""
+        with pytest.raises(LimitExceeded, match="common denominator of more than 640"):
+            ideal_lattice(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=80, deadline=None)
